@@ -6,7 +6,7 @@
 # Stages, in order (each must pass before the next runs):
 #   1. cargo fmt --check      — formatting is canonical
 #   2. cargo build --release  — the workspace compiles with optimizations
-#   3. cargo test -q          — the tier-1 test suite
+#   3. cargo test -q --workspace — every test of every workspace crate
 #   4. pathix-lint check      — the R1-R7 architectural invariants
 #      (I/O confinement, determinism, panic-freedom, layering,
 #      concurrency confinement, fault containment, governor
@@ -34,8 +34,8 @@ cargo fmt --check
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+cargo test -q --workspace
 
 echo "==> pathix-lint check"
 cargo run -q -p pathix-lint -- check

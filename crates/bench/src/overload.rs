@@ -34,7 +34,7 @@
 use crate::scaling::{batch_work, PacedDevice};
 use crate::{bench_options, build_db_with};
 use pathix::{Database, Method, PlanConfig};
-use pathix_core::{execute_batch_governed, AdmissionConfig, ExecError, QueryBudget, WorkerSeed};
+use pathix_core::{execute_batch, AdmissionConfig, ExecError, QueryBudget, WorkerSeed};
 use pathix_storage::{Device, DiskProfile};
 use pathix_tree::NodeId;
 use std::time::Instant;
@@ -46,7 +46,7 @@ pub const RATE_MULTIPLES: [u32; 4] = [1, 2, 4, 8];
 pub const OVERLOAD_WORKERS: usize = 4;
 
 /// Realized wall-clock service time per physical read in full mode. The
-/// governed executor runs cold per-item buffers (no shared cache), so this
+/// deadline-governed batch runs cold per-item buffers (no shared cache), so this
 /// is deliberately lighter than the scaling harness's pace.
 pub const OVERLOAD_PACE_READ_NS: u64 = 40_000;
 
@@ -168,7 +168,7 @@ fn run_ramp(
     };
     let seeds = governed_seeds(db, OVERLOAD_WORKERS, read_ns);
     let t = Instant::now();
-    let batch = execute_batch_governed(seeds, parsed, cfg, &budgets, &admission);
+    let batch = execute_batch(seeds, parsed, cfg, &budgets, &admission);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let mut latencies_ns: Vec<u64> = Vec::new();
@@ -229,7 +229,7 @@ pub fn overload_sweep(scale: f64, multiples: &[u32], fast: bool) -> (Vec<Overloa
         let mut item_cfg = cfg;
         item_cfg.method = *m;
         db.clear_buffers();
-        let run = db.run_path(p, &item_cfg).expect("clean sequential run");
+        let run = db.run_with(p, &item_cfg).expect("clean sequential run");
         total_service_ns += run.report.time.total_ns;
         reference.push(run.nodes);
     }

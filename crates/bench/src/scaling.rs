@@ -229,7 +229,7 @@ pub fn scaling_sweep(
         .map(|(p, m)| {
             let mut item_cfg = cfg;
             item_cfg.method = *m;
-            db.run_path(p, &item_cfg).expect("sequential run").nodes
+            db.run_with(p, &item_cfg).expect("sequential run").nodes
         })
         .collect();
 

@@ -15,7 +15,7 @@ use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::instance::REnd;
 use crate::ops::Operator;
-use crate::plan::{build_plan_public, Method, PlanConfig};
+use crate::plan::{build_plan, Method, PlanConfig};
 use crate::report::{buffer_delta, device_delta, ExecReport};
 use pathix_tree::{NodeId, TreeStore};
 use pathix_xpath::LocationPath;
@@ -69,7 +69,7 @@ pub fn execute_interleaved(
                 path.clone()
             };
             let cx = ExecCtx::new(store, cfg.costs, cfg.mem_limit);
-            let plan = build_plan_public(store, &path, vec![store.meta.root], *method);
+            let plan = build_plan(store, &path, *method);
             Slot {
                 plan,
                 cx,
@@ -132,7 +132,7 @@ pub fn execute_interleaved(
     if let Some(e) = store.take_io_error() {
         // Clean abort of the whole interleaved batch: the shared device is
         // the failure domain here (unlike the forked per-worker devices of
-        // `execute_batch_parallel`, which contain failures per item).
+        // `execute_batch`, which contain failures per item).
         drop(slots);
         store.buffer.drain_inflight();
         return Err(ExecError::Io {
@@ -151,19 +151,12 @@ pub fn execute_interleaved(
         if cfg.sort {
             slot.nodes.sort_by_key(|&(_, o)| o);
         }
-        let mut report = slot.acc;
-        report.method = slot.method.label().to_owned();
-        report.nodes_visited = slot.cx.nav_counters.nodes_visited.get();
-        report.node_tests = slot.cx.nav_counters.node_tests.get();
-        report.borders = slot.cx.nav_counters.borders.get();
-        report.instances = slot.cx.stats.instances.get();
-        report.results = slot.nodes.len() as u64;
-        report.r_inserts = slot.cx.stats.r_inserts.get();
-        report.s_inserts = slot.cx.stats.s_inserts.get();
-        report.s_peak = slot.cx.stats.s_peak.get();
-        report.q_pushes = slot.cx.stats.q_pushes.get();
-        report.speculative_generated = slot.cx.stats.speculative_generated.get();
-        report.fallback = slot.cx.stats.fallback_entered.get();
+        let report = ExecReport {
+            time: slot.acc.time,
+            buffer: slot.acc.buffer,
+            device: slot.acc.device,
+            ..slot.cx.report(slot.method.label(), slot.nodes.len() as u64)
+        };
         runs.push(ConcurrentRun {
             nodes: slot.nodes,
             method: slot.method.label().to_owned(),

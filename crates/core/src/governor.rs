@@ -6,14 +6,16 @@
 //! stops work, and load shedding that degrades latency, never correctness.
 //! This module holds the vocabulary types; enforcement lives at the declared
 //! checkpoints (operator produce loops, queue pops, and the buffer fix path
-//! — see DESIGN §12 for the checkpoint map) and in the governed batch
-//! executor (`server::execute_batch_governed`).
+//! — see DESIGN §12 for the checkpoint map), in the path runner that arms
+//! the buffer's gate ([`IoGate`]), and in the batch executor
+//! (`server::execute_batch`), whose item start mode [`cold_start`] decides.
 //!
 //! Everything here is simulated-time based: deadlines are expressed in
 //! `SimClock` nanoseconds, never wall-clock, so every governed outcome is
 //! exactly reproducible (lint rule R7 enforces that no `std::time::Instant`
 //! creeps into deadline logic).
 
+use pathix_tree::TreeStore;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -74,21 +76,19 @@ impl Deadline {
 }
 
 /// Everything the governor may hold against one query. The default budget is
-/// unlimited: no deadline, no memory cap, a token nobody cancels — executing
-/// under it is behaviorally identical to executing ungoverned.
+/// unlimited: no deadline, a token nobody cancels — executing under it is
+/// behaviorally identical to executing ungoverned. (A per-query S-set cap is
+/// `PlanConfig::mem_limit`.)
 #[derive(Debug, Clone, Default)]
 pub struct QueryBudget {
     /// Optional two-stage sim-time deadline.
     pub deadline: Option<Deadline>,
-    /// Optional per-query S-set entry cap (same unit as `PlanConfig::mem_limit`;
-    /// when both are set the smaller wins).
-    pub mem_limit: Option<usize>,
     /// Cooperative cancellation handle.
     pub cancel: CancelToken,
 }
 
 impl QueryBudget {
-    /// No deadline, no memory cap, fresh token: governance off.
+    /// No deadline, fresh token: governance off.
     pub fn unlimited() -> Self {
         Self::default()
     }
@@ -100,13 +100,62 @@ impl QueryBudget {
             ..Self::default()
         }
     }
+}
 
-    /// Budget with a per-query S-set cap and nothing else.
-    pub fn with_mem_limit(entries: usize) -> Self {
-        Self {
-            mem_limit: Some(entries),
-            ..Self::default()
-        }
+/// Admission-control knobs of the batch executor (`server::execute_batch`).
+/// The default admits everything, caps nothing and keeps no ledger.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AdmissionConfig {
+    /// Admitted queries allowed to *execute* concurrently (a semaphore over
+    /// the worker pool). `0` = no cap beyond the worker count.
+    pub max_in_flight: usize,
+    /// Total queries admitted per batch; items beyond this prefix are shed
+    /// with `ExecError::Overloaded` — deterministically by batch order,
+    /// before any execution. `None` = admit everything.
+    pub max_admitted: Option<usize>,
+    /// Byte cap of the shared S-set [`MemLedger`]. Pressure *degrades*
+    /// queries (fallback mode), it never sheds them. `None` = no ledger.
+    pub ledger_cap_bytes: Option<u64>,
+}
+
+impl AdmissionConfig {
+    /// Everything admitted, no concurrency cap, no ledger — governance off.
+    pub fn unlimited() -> Self {
+        Self::default()
+    }
+}
+
+/// Whether a batch runs each item *cold*: from a reset private buffer on a
+/// re-parked device, over plain device forks rather than a shared page
+/// cache. True when some budget carries a deadline or admission sets a
+/// ledger — the two outcomes that depend on an item's simulated timeline
+/// (deadline stages) or on the order its clusters arrive (S-set growth).
+/// Running cold makes both a pure function of `(path, method, budget)`,
+/// not of which items a worker served before. Every other batch runs warm,
+/// so items reuse pages across the batch.
+pub fn cold_start(budgets: &[QueryBudget], admission: &AdmissionConfig) -> bool {
+    admission.ledger_cap_bytes.is_some() || budgets.iter().any(|b| b.deadline.is_some())
+}
+
+/// The buffer's governor gate for one query run: arming sets the absolute
+/// sim-time I/O deadline (`None` for an ungoverned run) and clears the
+/// interrupt flag; dropping disarms both. The run holds the guard for its
+/// whole extent, so every exit — a result, a typed abort, or a panic
+/// unwinding out of the plan — leaves the buffer ungated for the next run.
+pub(crate) struct IoGate<'a>(&'a TreeStore);
+
+impl<'a> IoGate<'a> {
+    pub(crate) fn arm(store: &'a TreeStore, io_deadline_ns: Option<u64>) -> Self {
+        store.buffer.set_interrupted(false);
+        store.buffer.set_io_deadline(io_deadline_ns);
+        Self(store)
+    }
+}
+
+impl Drop for IoGate<'_> {
+    fn drop(&mut self) {
+        self.0.buffer.set_io_deadline(None);
+        self.0.buffer.set_interrupted(false);
     }
 }
 
@@ -190,7 +239,7 @@ impl MemLedger {
     }
 }
 
-/// Batch-level outcome tally produced by the governed executor.
+/// Batch-level outcome tally produced by the batch executor.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovernorReport {
     /// Items the admission controller let in.
@@ -225,7 +274,49 @@ impl std::fmt::Display for GovernorReport {
 
 #[cfg(test)]
 mod tests {
+    // Test assertions panic by design.
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
+    use crate::ops::testutil::{mem_store, sample_doc};
+    use pathix_tree::Placement;
+
+    #[test]
+    fn cold_start_needs_a_deadline_or_a_ledger() {
+        let unlimited = AdmissionConfig::unlimited();
+        assert!(!cold_start(&[], &unlimited));
+        let capped = AdmissionConfig {
+            max_in_flight: 1,
+            max_admitted: Some(1),
+            ledger_cap_bytes: None,
+        };
+        assert!(!cold_start(&[QueryBudget::unlimited()], &capped));
+        assert!(cold_start(
+            &[QueryBudget::unlimited(), QueryBudget::with_deadline(1, 2)],
+            &unlimited
+        ));
+        let ledger = AdmissionConfig {
+            ledger_cap_bytes: Some(1),
+            ..unlimited
+        };
+        assert!(cold_start(&[], &ledger));
+    }
+
+    #[test]
+    fn io_gate_disarms_when_a_run_unwinds() {
+        let store = mem_store(&sample_doc(), 256, Placement::Sequential);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _gate = IoGate::arm(&store, Some(0));
+            store.buffer.set_interrupted(true);
+            panic!("plan panics with the gate armed");
+        }));
+        assert!(unwound.is_err());
+        assert!(!store.buffer.interrupted());
+        assert!(
+            store.checked_fix(store.meta.root.page).is_some(),
+            "the I/O deadline was cleared too"
+        );
+    }
 
     #[test]
     fn cancel_token_is_shared_across_clones() {
@@ -252,7 +343,6 @@ mod tests {
     fn unlimited_budget_has_no_limits() {
         let b = QueryBudget::unlimited();
         assert!(b.deadline.is_none());
-        assert!(b.mem_limit.is_none());
         assert!(!b.cancel.is_canceled());
     }
 

@@ -164,22 +164,10 @@ pub fn execute_paths_shared_scan(
     }
 
     let report = ExecReport {
-        method: "SharedScan".to_owned(),
         time: store.clock().breakdown().since(&clock0),
         buffer: buffer_delta(store.buffer.stats(), buf0),
         device: device_delta(store.buffer.device_stats(), dev0),
-        nodes_visited: cx.nav_counters.nodes_visited.get(),
-        node_tests: cx.nav_counters.node_tests.get(),
-        borders: cx.nav_counters.borders.get(),
-        instances: cx.stats.instances.get(),
-        results: per_path.iter().map(|v| v.len() as u64).sum(),
-        r_inserts: cx.stats.r_inserts.get(),
-        s_inserts: cx.stats.s_inserts.get(),
-        s_peak: cx.stats.s_peak.get(),
-        q_pushes: cx.stats.q_pushes.get(),
-        speculative_generated: cx.stats.speculative_generated.get(),
-        fallback: false,
-        degraded: false,
+        ..cx.report("SharedScan", per_path.iter().map(|v| v.len() as u64).sum())
     };
     if let Some(e) = store.take_io_error() {
         return Err(ExecError::Io {

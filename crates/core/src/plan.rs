@@ -11,7 +11,7 @@
 
 use crate::context::{AbortReason, CostParams, ExecCtx};
 use crate::error::ExecError;
-use crate::governor::{MemLedger, QueryBudget};
+use crate::governor::{IoGate, MemLedger, QueryBudget};
 use crate::instance::REnd;
 use crate::ops::{
     ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule, XStep,
@@ -135,25 +135,14 @@ pub(crate) fn scan_all_reachable_step(path: &LocationPath) -> Option<u16> {
     }
 }
 
-/// Builds the operator tree for a (normalized) path — exposed for the
-/// concurrent executor.
-pub(crate) fn build_plan_public(
+/// Builds the operator tree for a (normalized) path from the document root.
+pub(crate) fn build_plan(
     store: &TreeStore,
     path: &LocationPath,
-    contexts: Vec<NodeId>,
-    method: Method,
-) -> Box<dyn Operator> {
-    build_plan(store, path, contexts, method)
-}
-
-fn build_plan(
-    store: &TreeStore,
-    path: &LocationPath,
-    contexts: Vec<NodeId>,
     method: Method,
 ) -> Box<dyn Operator> {
     let len = path.steps.len() as u16;
-    let source: Box<dyn Operator> = Box::new(ContextSource::new(contexts.clone()));
+    let source: Box<dyn Operator> = Box::new(ContextSource::new(vec![store.meta.root]));
     match method {
         Method::Simple => {
             let mut op = source;
@@ -185,58 +174,36 @@ fn build_plan(
                 let test = ResolvedTest::resolve(&step.test, &store.meta.symbols);
                 op = Box::new(XStep::new(op, idx as u16 + 1, step.axis, test));
             }
-            let all_reachable = if contexts == [store.meta.root] {
-                scan_all_reachable_step(path)
-            } else {
-                None
-            };
-            Box::new(XAssembly::new(op, len, None, all_reachable))
+            Box::new(XAssembly::new(op, len, None, scan_all_reachable_step(path)))
         }
     }
 }
 
-/// Executes `path` from `contexts` with the given configuration.
+/// Executes `path` from the document root.
 ///
-/// Fails with [`ExecError::UnexpectedEnd`] if an operator breaks the plan
-/// output contract (a bug in the operator tree, never the caller's input).
-pub fn execute_path_from(
+/// Fails with [`ExecError::Io`] on an unrecovered page read, and with
+/// [`ExecError::UnexpectedEnd`] if an operator breaks the plan output
+/// contract (a bug in the operator tree, never the caller's input).
+pub fn execute_path(
     store: &TreeStore,
     path: &LocationPath,
-    contexts: Vec<NodeId>,
     cfg: &PlanConfig,
 ) -> Result<PathRun, ExecError> {
-    run_path(store, path, contexts, cfg, None, None)
+    run_path(store, path, cfg, None, None)
 }
 
-/// Executes `path` from the document root under a [`QueryBudget`]: the soft
+/// The one path runner behind [`execute_path`], [`execute_query`] and the
+/// batch executor.
+///
+/// A `budget` or a `ledger` puts the run under governance: the soft
 /// deadline degrades the plan into §5.4.6 fallback mode, the hard deadline
 /// (or the budget's cancel token) aborts it with a typed error, and S-set
-/// growth is charged to `ledger`, if one is given (batch-wide memory
-/// pressure degrades the query instead of growing S).
-///
-/// Running under [`QueryBudget::unlimited`] and no ledger is behaviorally
-/// identical to [`execute_path`].
-pub fn execute_path_budgeted(
+/// growth is charged to `ledger`, so batch-wide memory pressure degrades
+/// the query instead of growing S. With neither, the run is ungoverned; an
+/// unlimited budget and no ledger behave exactly like that.
+pub(crate) fn run_path(
     store: &TreeStore,
     path: &LocationPath,
-    cfg: &PlanConfig,
-    budget: &QueryBudget,
-    ledger: Option<&MemLedger>,
-) -> Result<PathRun, ExecError> {
-    run_path(
-        store,
-        path,
-        vec![store.meta.root],
-        cfg,
-        Some(budget),
-        ledger,
-    )
-}
-
-fn run_path(
-    store: &TreeStore,
-    path: &LocationPath,
-    contexts: Vec<NodeId>,
     cfg: &PlanConfig,
     budget: Option<&QueryBudget>,
     ledger: Option<&MemLedger>,
@@ -248,26 +215,21 @@ fn run_path(
     };
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
-    let cx = match budget {
-        None => ExecCtx::new(store, cfg.costs, cfg.mem_limit),
-        Some(b) => {
-            let cx = ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, b, ledger.cloned());
-            // Arm the buffer's governor gate: past the hard deadline no
-            // further device I/O is issued and retry backoff is clamped,
-            // even between operator checkpoints.
-            store.buffer.set_interrupted(false);
-            store.buffer.set_io_deadline(
-                b.deadline
-                    .and_then(|d| cx.governor_t0().map(|t0| t0.saturating_add(d.hard_ns))),
-            );
-            cx
-        }
+    let governed = budget.is_some() || ledger.is_some();
+    let cx = if governed {
+        let budget = budget.cloned().unwrap_or_default();
+        ExecCtx::with_budget(store, cfg.costs, cfg.mem_limit, &budget, ledger.cloned())
+    } else {
+        ExecCtx::new(store, cfg.costs, cfg.mem_limit)
     };
+    // Past the hard deadline no further device I/O is issued and retry
+    // backoff is clamped, even between operator checkpoints.
+    let _gate = IoGate::arm(store, cx.governor_hard_ns());
     let clock0 = store.clock().breakdown();
     let buf0 = store.buffer.stats();
     let dev0 = store.buffer.device_stats();
 
-    let mut plan = build_plan(store, &path, contexts, cfg.method);
+    let mut plan = build_plan(store, &path, cfg.method);
     let mut nodes: Vec<(NodeId, u64)> = Vec::new();
     let mut dedup: HashSet<NodeId> = HashSet::new();
     let mut contract_err: Option<ExecError> = None;
@@ -286,7 +248,7 @@ fn run_path(
                 None => break, // error recorded; abort below
             },
             other => {
-                contract_err = Some(ExecError::unexpected_end("execute_path_from", other));
+                contract_err = Some(ExecError::unexpected_end("execute_path", other));
                 break;
             }
         };
@@ -301,14 +263,12 @@ fn run_path(
     }
     drop(plan);
 
-    // Governed epilogue: settle the ledger and disarm the buffer gate on
-    // every exit path, then surface the abort cause (a governor abort wins
-    // over the `Interrupted` I/O error it may have produced at the gate).
+    // Governed epilogue: settle the ledger, then surface the abort cause (a
+    // governor abort wins over the `Interrupted` I/O error it may have
+    // produced at the gate). The gate itself disarms when `_gate` drops.
     cx.release_ledger();
     let recorded_io = store.take_io_error();
-    if budget.is_some() {
-        store.buffer.set_io_deadline(None);
-        store.buffer.set_interrupted(false);
+    if governed {
         let abort = cx.governor_abort().or_else(|| {
             // The gate refused a read but the plan wound down without
             // another checkpoint: classify by the budget itself.
@@ -363,33 +323,12 @@ fn run_path(
     }
 
     let report = ExecReport {
-        method: cfg.method.label().to_owned(),
         time: store.clock().breakdown().since(&clock0),
         buffer: buffer_delta(store.buffer.stats(), buf0),
         device: device_delta(store.buffer.device_stats(), dev0),
-        nodes_visited: cx.nav_counters.nodes_visited.get(),
-        node_tests: cx.nav_counters.node_tests.get(),
-        borders: cx.nav_counters.borders.get(),
-        instances: cx.stats.instances.get(),
-        results: nodes.len() as u64,
-        r_inserts: cx.stats.r_inserts.get(),
-        s_inserts: cx.stats.s_inserts.get(),
-        s_peak: cx.stats.s_peak.get(),
-        q_pushes: cx.stats.q_pushes.get(),
-        speculative_generated: cx.stats.speculative_generated.get(),
-        fallback: cx.stats.fallback_entered.get(),
-        degraded: cx.governor_degraded(),
+        ..cx.report(cfg.method.label(), nodes.len() as u64)
     };
     Ok(PathRun { nodes, report })
-}
-
-/// Executes `path` from the document root.
-pub fn execute_path(
-    store: &TreeStore,
-    path: &LocationPath,
-    cfg: &PlanConfig,
-) -> Result<PathRun, ExecError> {
-    execute_path_from(store, path, vec![store.meta.root], cfg)
 }
 
 /// Executes a query (path, count, or sum of counts) from the document root.

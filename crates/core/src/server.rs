@@ -29,8 +29,8 @@
 
 use crate::concurrent::ConcurrentRun;
 use crate::error::ExecError;
-use crate::governor::{GovernorReport, MemLedger, QueryBudget};
-use crate::plan::{execute_path_budgeted, execute_path_from, Method, PlanConfig};
+use crate::governor::{cold_start, AdmissionConfig, GovernorReport, MemLedger, QueryBudget};
+use crate::plan::{run_path, Method, PlanConfig};
 use crate::report::ExecReport;
 use parking_lot::{Condvar, Mutex};
 use pathix_storage::{BufferParams, Device, SimClock};
@@ -53,15 +53,18 @@ pub struct WorkerSeed {
     pub params: BufferParams,
 }
 
-/// Result of a parallel batch. Failures are contained per item: one query
-/// hitting a bad page (or losing its worker) does not void the rest of the
-/// batch, because every worker runs over a private device fork — the
-/// failure domain is the item, not the batch.
+/// Result of a batch. Failures are contained per item: one query hitting a
+/// bad page (or losing its worker) does not void the rest of the batch,
+/// because every worker runs over a private device fork — the failure
+/// domain is the item, not the batch.
+#[derive(Debug)]
 pub struct BatchRun {
     /// One result per work item, in batch order (independent of which
-    /// worker executed it). An item fails alone, with [`ExecError::Io`]
-    /// for an unrecovered page read or [`ExecError::WorkerLost`] if its
-    /// worker died before publishing a result.
+    /// worker executed it). An item fails alone: [`ExecError::Io`] for an
+    /// unrecovered page read, [`ExecError::WorkerLost`] if its worker died
+    /// before publishing a result, [`ExecError::Overloaded`] if admission
+    /// shed it, [`ExecError::DeadlineExceeded`] / [`ExecError::Canceled`]
+    /// if its budget aborted it.
     pub runs: Vec<Result<ConcurrentRun, ExecError>>,
     /// Sum of the *successful* per-item reports. `time` is aggregate
     /// simulated time across all workers (simulated clocks run
@@ -69,6 +72,8 @@ pub struct BatchRun {
     /// wall-clock elapsed time is the harness's concern, not the
     /// engine's (R2 determinism).
     pub report: ExecReport,
+    /// Batch-level governor tally (admitted / shed / degraded / …).
+    pub governor: GovernorReport,
 }
 
 impl BatchRun {
@@ -77,134 +82,6 @@ impl BatchRun {
         self.runs.iter().filter(|r| r.is_err()).count()
     }
 }
-
-/// Executes every `(path, method)` item of `work` across `seeds.len()`
-/// worker threads and returns per-item results in batch order.
-///
-/// Each result is produced by [`execute_path_from`] on the worker's private
-/// store, so per-item nodes and reports have exactly the same shape as
-/// sequential execution. A panicking item is caught on its worker thread
-/// and recorded as [`ExecError::WorkerLost`]; the worker then resets its
-/// private engine state and keeps claiming items, so a single poisoned
-/// query costs exactly one batch slot. Panics if `seeds` is empty (the
-/// caller chooses the worker count; zero workers cannot run a batch).
-pub fn execute_batch_parallel(
-    seeds: Vec<WorkerSeed>,
-    work: &[(LocationPath, Method)],
-    cfg: &PlanConfig,
-) -> BatchRun {
-    assert!(!seeds.is_empty(), "a batch needs at least one worker");
-    let cfg = *cfg;
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<ConcurrentRun, ExecError>>>> =
-        Mutex::new((0..work.len()).map(|_| None).collect());
-
-    std::thread::scope(|scope| {
-        for seed in seeds {
-            let next = &next;
-            let results = &results;
-            scope.spawn(move || {
-                // The whole single-threaded engine stack is private to this
-                // thread: fresh clock, fresh buffer, private device fork.
-                // If even opening the store panics, the catch below turns
-                // the thread into a no-op and the None→WorkerLost mapping
-                // at the bottom covers anything it would have claimed.
-                let body = std::panic::AssertUnwindSafe(|| {
-                    let store = TreeStore::open(
-                        seed.device,
-                        seed.meta,
-                        seed.params,
-                        Rc::new(SimClock::new()),
-                    );
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((path, method)) = work.get(i) else {
-                            break;
-                        };
-                        let mut item_cfg = cfg;
-                        item_cfg.method = *method;
-                        let item = std::panic::AssertUnwindSafe(|| {
-                            execute_path_from(&store, path, vec![store.meta.root], &item_cfg).map(
-                                |run| ConcurrentRun {
-                                    nodes: run.nodes,
-                                    method: method.label().to_owned(),
-                                    report: run.report,
-                                },
-                            )
-                        });
-                        let out = match std::panic::catch_unwind(item) {
-                            Ok(out) => out,
-                            Err(_) => {
-                                // The item unwound mid-plan. Scrub the
-                                // engine state it may have left behind so
-                                // the next item starts clean, and charge
-                                // the loss to this slot only.
-                                store.buffer.drain_inflight();
-                                store.clear_io_error();
-                                Err(ExecError::WorkerLost { item: i })
-                            }
-                        };
-                        if let Some(slot) = results.lock().get_mut(i) {
-                            *slot = Some(out);
-                        }
-                    }
-                });
-                let _ = std::panic::catch_unwind(body);
-            });
-        }
-    });
-
-    let mut runs = Vec::with_capacity(work.len());
-    for (i, slot) in results.into_inner().into_iter().enumerate() {
-        runs.push(slot.unwrap_or(Err(ExecError::WorkerLost { item: i })));
-    }
-
-    let mut report = ExecReport {
-        method: "parallel".to_owned(),
-        ..Default::default()
-    };
-    for run in runs.iter().flatten() {
-        report.absorb(&run.report);
-    }
-    BatchRun { runs, report }
-}
-
-/// Admission-control knobs for [`execute_batch_governed`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AdmissionConfig {
-    /// Admitted queries allowed to *execute* concurrently (a semaphore over
-    /// the worker pool). `0` = no cap beyond the worker count.
-    pub max_in_flight: usize,
-    /// Total queries admitted per batch; items beyond this prefix are shed
-    /// with [`ExecError::Overloaded`] — deterministically by batch order,
-    /// before any execution. `None` = admit everything.
-    pub max_admitted: Option<usize>,
-    /// Byte cap of the shared S-set [`MemLedger`]. Pressure *degrades*
-    /// queries (fallback mode), it never sheds them. `None` = no ledger.
-    pub ledger_cap_bytes: Option<u64>,
-}
-
-impl AdmissionConfig {
-    /// Everything admitted, no concurrency cap, no ledger — governance off.
-    pub fn unlimited() -> Self {
-        Self::default()
-    }
-}
-
-/// Result of a governed parallel batch.
-pub struct BatchGovernedOutcome {
-    /// Per-item results in batch order; shed items carry
-    /// [`ExecError::Overloaded`], aborted ones
-    /// [`ExecError::DeadlineExceeded`] / [`ExecError::Canceled`].
-    pub runs: Vec<Result<ConcurrentRun, ExecError>>,
-    /// Sum of the successful per-item reports (as in [`BatchRun`]).
-    pub report: ExecReport,
-    /// Batch-level governor tally.
-    pub governor: GovernorReport,
-}
-
-/// Public alias matching the facade naming.
-pub type GovernedBatchRun = BatchGovernedOutcome;
 
 /// Counting semaphore over a [`Mutex`]/[`Condvar`] pair: caps how many
 /// admitted queries execute at once. Confined to this file like every other
@@ -242,35 +119,45 @@ impl Drop for GatePermit<'_> {
     }
 }
 
-/// [`execute_batch_parallel`] with per-item [`QueryBudget`]s and an
-/// admission controller.
+/// Executes every `(path, method)` item of `work` across `seeds.len()`
+/// worker threads, under per-item [`QueryBudget`]s and an admission
+/// controller, and returns per-item results in batch order.
 ///
-/// Differences from the ungoverned executor, all in the name of
-/// *deterministic overload behavior*:
+/// Each admitted item runs through the same path runner as
+/// [`crate::execute_path`] on the worker's private store, so per-item
+/// nodes and reports have exactly the shape of sequential execution.
+/// Overload behavior is deterministic:
 ///
 /// * **Shedding is a batch-order prefix.** Items past
 ///   `admission.max_admitted` fail with [`ExecError::Overloaded`] before
 ///   any execution — never a function of thread timing.
-/// * **Admitted items run cold.** Each item starts from a reset private
-///   buffer, so its simulated timeline — and therefore its deadline
-///   outcome — is a pure function of `(path, method, budget)`, not of
-///   which items a worker ran before it. (Throughput-oriented batches that
-///   want cross-item cache reuse use `execute_batch_parallel`.)
+/// * **In-flight cap.** At most `admission.max_in_flight` admitted items
+///   execute at once (`0` = the worker count).
 /// * **S-set growth is accounted** against a shared [`MemLedger`] sized by
 ///   `admission.ledger_cap_bytes`; pressure degrades queries into fallback
 ///   mode instead of failing them.
+/// * **Governed batches run cold.** When [`cold_start`] holds, every item
+///   starts from a reset private buffer on a re-parked device, so its
+///   simulated timeline — and therefore its deadline outcome — is a pure
+///   function of `(path, method, budget)`. Otherwise items run warm and
+///   reuse whatever pages their worker already holds.
 ///
-/// `budgets` pairs with `work` by index; missing entries mean
-/// [`QueryBudget::unlimited`]. Panics if `seeds` is empty.
-pub fn execute_batch_governed(
+/// `budgets` pairs with `work` by index; an item without one runs
+/// ungoverned. A panicking item is caught on its worker thread and
+/// recorded as [`ExecError::WorkerLost`]; the worker then scrubs its
+/// private engine state and keeps claiming items, so a single poisoned
+/// query costs exactly one batch slot. Panics if `seeds` is empty (the
+/// caller chooses the worker count; zero workers cannot run a batch).
+pub fn execute_batch(
     seeds: Vec<WorkerSeed>,
     work: &[(LocationPath, Method)],
     cfg: &PlanConfig,
     budgets: &[QueryBudget],
     admission: &AdmissionConfig,
-) -> GovernedBatchRun {
+) -> BatchRun {
     assert!(!seeds.is_empty(), "a batch needs at least one worker");
     let cfg = *cfg;
+    let cold = cold_start(budgets, admission);
     let admitted_cap = admission.max_admitted.unwrap_or(usize::MAX);
     let ledger = admission.ledger_cap_bytes.map(MemLedger::new);
     let gate = Gate::new(if admission.max_in_flight == 0 {
@@ -288,8 +175,12 @@ pub fn execute_batch_governed(
             let results = &results;
             let gate = &gate;
             let ledger = &ledger;
-            let budgets = &budgets;
             scope.spawn(move || {
+                // The whole single-threaded engine stack is private to this
+                // thread: fresh clock, fresh buffer, private device fork.
+                // If even opening the store panics, the catch below turns
+                // the thread into a no-op and the None→WorkerLost mapping
+                // at the bottom covers anything it would have claimed.
                 let body = std::panic::AssertUnwindSafe(|| {
                     let store = TreeStore::open(
                         seed.device,
@@ -307,43 +198,35 @@ pub fn execute_batch_governed(
                             // the admission prefix, independent of timing.
                             Err(ExecError::Overloaded)
                         } else {
-                            let budget = budgets.get(i).cloned().unwrap_or_default();
                             let mut item_cfg = cfg;
                             item_cfg.method = *method;
-                            // In-flight cap: hold a permit for the whole
-                            // execution of this admitted item.
+                            // Hold a permit for the item's whole execution.
                             let _permit = gate.acquire();
-                            // Cold start (see the function docs): the item's
-                            // sim-timeline must not depend on claim order —
-                            // cold buffer, and the device head re-parked so
-                            // seek costs don't inherit the previous item's
-                            // final position.
-                            store.buffer.reset();
-                            store.buffer.device_mut().park();
-                            let item = std::panic::AssertUnwindSafe(|| {
-                                execute_path_budgeted(
-                                    &store,
-                                    path,
-                                    &item_cfg,
-                                    &budget,
-                                    ledger.as_ref(),
-                                )
-                                .map(|run| ConcurrentRun {
-                                    nodes: run.nodes,
-                                    method: method.label().to_owned(),
-                                    report: run.report,
-                                })
-                            });
-                            match std::panic::catch_unwind(item) {
-                                Ok(out) => out,
-                                Err(_) => {
-                                    store.buffer.drain_inflight();
-                                    store.buffer.set_io_deadline(None);
-                                    store.buffer.set_interrupted(false);
-                                    store.clear_io_error();
-                                    Err(ExecError::WorkerLost { item: i })
-                                }
+                            if cold {
+                                // Cold buffer, and the device head re-parked
+                                // so seek costs don't inherit the previous
+                                // item's final position.
+                                store.buffer.reset();
+                                store.buffer.device_mut().park();
                             }
+                            let item = std::panic::AssertUnwindSafe(|| {
+                                run_path(&store, path, &item_cfg, budgets.get(i), ledger.as_ref())
+                                    .map(|run| ConcurrentRun {
+                                        nodes: run.nodes,
+                                        method: method.label().to_owned(),
+                                        report: run.report,
+                                    })
+                            });
+                            std::panic::catch_unwind(item).unwrap_or_else(|_| {
+                                // The item unwound mid-plan (its gate guard
+                                // disarmed the buffer on the way out). Scrub
+                                // the rest of the engine state so the next
+                                // item starts clean, and charge the loss to
+                                // this slot only.
+                                store.buffer.drain_inflight();
+                                store.clear_io_error();
+                                Err(ExecError::WorkerLost { item: i })
+                            })
                         };
                         if let Some(slot) = results.lock().get_mut(i) {
                             *slot = Some(out);
@@ -361,7 +244,7 @@ pub fn execute_batch_governed(
     }
 
     let mut report = ExecReport {
-        method: "governed".to_owned(),
+        method: "batch".to_owned(),
         ..Default::default()
     };
     let mut governor = GovernorReport {
@@ -389,11 +272,21 @@ pub fn execute_batch_governed(
             Err(_) => governor.admitted += 1,
         }
     }
-    GovernedBatchRun {
+    BatchRun {
         runs,
         report,
         governor,
     }
+}
+
+/// [`execute_batch`] without budgets or admission limits: every item is
+/// admitted, runs ungoverned, and starts warm.
+pub fn execute_batch_parallel(
+    seeds: Vec<WorkerSeed>,
+    work: &[(LocationPath, Method)],
+    cfg: &PlanConfig,
+) -> BatchRun {
+    execute_batch(seeds, work, cfg, &[], &AdmissionConfig::unlimited())
 }
 
 #[cfg(test)]
@@ -445,8 +338,7 @@ mod tests {
             let mut item_cfg = cfg;
             item_cfg.method = *method;
             let seq =
-                crate::plan::execute_path_from(&store, path, vec![store.meta.root], &item_cfg)
-                    .expect("sequential executes");
+                crate::plan::execute_path(&store, path, &item_cfg).expect("sequential executes");
             let run = batch.runs[i].as_ref().expect("item succeeds");
             assert_eq!(run.nodes, seq.nodes, "item {i} diverged");
             assert_eq!(run.method, method.label());
@@ -574,13 +466,12 @@ mod tests {
         let mut item_cfg = cfg;
         item_cfg.method = Method::Simple;
         let seq =
-            crate::plan::execute_path_from(&store, &work[1].0, vec![store.meta.root], &item_cfg)
-                .expect("sequential executes");
+            crate::plan::execute_path(&store, &work[1].0, &item_cfg).expect("sequential executes");
         assert_eq!(survivor.nodes, seq.nodes, "survivor result intact");
     }
 
-    /// Plain forks, no shared cache: the governed executor's per-item
-    /// outcomes must be a pure function of `(path, method, budget)`.
+    /// Plain forks, no shared cache: a cold batch's per-item outcomes must
+    /// be a pure function of `(path, method, budget)`.
     fn plain_seeds(store: &TreeStore, workers: usize) -> Vec<WorkerSeed> {
         (0..workers)
             .map(|_| WorkerSeed {
@@ -611,25 +502,80 @@ mod tests {
         let work = governed_work();
         let mut cfg = PlanConfig::new(Method::Simple);
         cfg.sort = true;
-        let governed = execute_batch_governed(
-            plain_seeds(&store, 2),
+        // One worker runs the items in batch order, so the governed and the
+        // ungoverned batch see identical buffer histories and their
+        // reports must agree to the simulated nanosecond.
+        let budgets = vec![QueryBudget::unlimited(); work.len()];
+        let governed = execute_batch(
+            plain_seeds(&store, 1),
             &work,
             &cfg,
-            &[],
+            &budgets,
             &AdmissionConfig::unlimited(),
         );
-        let plain = execute_batch_parallel(plain_seeds(&store, 2), &work, &cfg);
+        let plain = execute_batch_parallel(plain_seeds(&store, 1), &work, &cfg);
         assert_eq!(governed.runs.len(), plain.runs.len());
         for (g, p) in governed.runs.iter().zip(&plain.runs) {
-            assert_eq!(
-                g.as_ref().expect("governed item succeeds").nodes,
-                p.as_ref().expect("plain item succeeds").nodes
+            let (g, p) = (
+                g.as_ref().expect("governed item succeeds"),
+                p.as_ref().expect("plain item succeeds"),
             );
+            assert_eq!(g.nodes, p.nodes);
+            assert_eq!(g.report.time.total_ns, p.report.time.total_ns);
+            assert_eq!(g.report.device.reads, p.report.device.reads);
         }
         assert_eq!(governed.governor.admitted, work.len() as u64);
         assert_eq!(governed.governor.shed, 0);
         assert_eq!(governed.governor.degraded, 0);
         assert_eq!(governed.governor.peak_ledger_bytes, 0);
+    }
+
+    #[test]
+    fn lost_worker_under_deadlines_costs_exactly_one_item() {
+        let doc = sample_doc();
+        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 7 });
+        // Deadline budgets make the batch governed and cold: every item arms
+        // the buffer gate. Item 0 panics on its first read while armed; its
+        // gate guard must disarm the buffer on the way out, so item 1 on the
+        // same worker answers in full.
+        let seeds = vec![WorkerSeed {
+            device: Box::new(PanicOnRead {
+                inner: store
+                    .buffer
+                    .device_mut()
+                    .try_fork()
+                    .expect("MemDevice forks"),
+                panic_at: 0,
+                reads: 0,
+            }),
+            meta: store.meta.clone(),
+            params: store.buffer.params(),
+        }];
+        let work = vec![
+            (parse_path("//item").unwrap(), Method::Simple),
+            (parse_path("//email").unwrap(), Method::XScan),
+        ];
+        let budgets = vec![QueryBudget::with_deadline(u64::MAX / 4, u64::MAX / 2); work.len()];
+        assert!(cold_start(&budgets, &AdmissionConfig::unlimited()));
+        let mut cfg = PlanConfig::new(Method::Simple);
+        cfg.sort = true;
+        let batch = execute_batch(seeds, &work, &cfg, &budgets, &AdmissionConfig::unlimited());
+        assert_eq!(batch.failed(), 1, "exactly the afflicted item fails");
+        assert!(matches!(
+            batch.runs[0],
+            Err(ExecError::WorkerLost { item: 0 })
+        ));
+        let survivor = batch.runs[1].as_ref().expect("item 1 unaffected");
+        let ranks = doc.preorder_ranks();
+        let want: Vec<u64> = pathix_xpath::eval_path(&doc, doc.root(), &work[1].0)
+            .iter()
+            .map(|n| pathix_tree::node::order_key(ranks[n.0 as usize]))
+            .collect();
+        let got: Vec<u64> = survivor.nodes.iter().map(|&(_, o)| o).collect();
+        assert_eq!(got, want, "survivor matches the reference evaluator");
+        assert!(!survivor.report.degraded);
+        assert_eq!(batch.governor.admitted, 2);
+        assert_eq!(batch.governor.deadline_aborted, 0);
     }
 
     #[test]
@@ -645,8 +591,7 @@ mod tests {
             ledger_cap_bytes: None,
         };
         for _ in 0..3 {
-            let batch =
-                execute_batch_governed(plain_seeds(&store, 3), &work, &cfg, &[], &admission);
+            let batch = execute_batch(plain_seeds(&store, 3), &work, &cfg, &[], &admission);
             assert!(batch.runs[0].is_ok());
             assert!(batch.runs[1].is_ok());
             assert!(matches!(batch.runs[2], Err(ExecError::Overloaded)));
@@ -667,7 +612,7 @@ mod tests {
             .iter()
             .map(|_| QueryBudget::with_deadline(0, 1))
             .collect();
-        let batch = execute_batch_governed(
+        let batch = execute_batch(
             plain_seeds(&store, 2),
             &work,
             &cfg,
@@ -693,7 +638,7 @@ mod tests {
         let work = vec![(parse_path("//item").unwrap(), Method::xschedule())];
         let budget = QueryBudget::unlimited();
         budget.cancel.cancel();
-        let batch = execute_batch_governed(
+        let batch = execute_batch(
             plain_seeds(&store, 1),
             &work,
             &PlanConfig::new(Method::Simple),
@@ -726,7 +671,7 @@ mod tests {
             ledger_cap_bytes: Some(1),
             ..AdmissionConfig::unlimited()
         };
-        let batch = execute_batch_governed(plain_seeds(&store, 2), &work, &cfg, &[], &admission);
+        let batch = execute_batch(plain_seeds(&store, 2), &work, &cfg, &[], &admission);
         assert_eq!(batch.governor.degraded, 2, "both items degraded");
         for (i, (path, method)) in work.iter().enumerate() {
             let run = batch.runs[i].as_ref().expect("degraded items answer");
@@ -734,8 +679,7 @@ mod tests {
             let mut item_cfg = cfg;
             item_cfg.method = *method;
             let seq =
-                crate::plan::execute_path_from(&store, path, vec![store.meta.root], &item_cfg)
-                    .expect("sequential executes");
+                crate::plan::execute_path(&store, path, &item_cfg).expect("sequential executes");
             assert_eq!(run.nodes, seq.nodes, "degraded answers stay correct");
         }
     }

@@ -51,7 +51,7 @@ fn main() {
     // Node-set queries return document-ordered results.
     let mut cfg = pathix::PlanConfig::new(Method::xschedule());
     cfg.sort = true;
-    let titles = db.run_path("//title", &cfg).expect("path");
+    let titles = db.run_with("//title", &cfg).expect("path");
     println!(
         "//title matched {} nodes (in document order)",
         titles.nodes.len()

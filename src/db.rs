@@ -2,20 +2,20 @@
 //! queries with any of the paper's three physical methods.
 
 use pathix_core::{
-    execute_batch_governed, execute_batch_parallel, execute_interleaved, execute_path,
-    execute_paths_shared_scan, execute_query, AdmissionConfig, ConcurrentRun, ExecError,
-    ExecReport, GovernorReport, Method, MultiPathRun, Optimizer, PathRun, PlanConfig, PlanEstimate,
-    QueryBudget, QueryRun, WorkerSeed,
+    cold_start, execute_batch, execute_interleaved, execute_paths_shared_scan, execute_query,
+    AdmissionConfig, BatchRun, ConcurrentRun, ExecError, ExecReport, Method, MultiPathRun,
+    Optimizer, PlanConfig, PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
 };
 use pathix_storage::{
     BufferParams, Device, DiskProfile, FaultDevice, FaultPlan, MemDevice, QueuePolicy,
     SharedCacheDevice, SharedPageCache, SharedPageCacheStats, SimClock, SimDisk,
 };
-use pathix_tree::{import_into, ImportConfig, ImportReport, NodeId, Placement, TreeStore};
+use pathix_tree::{import_into, ImportConfig, ImportReport, Placement, TreeStore};
 use pathix_xml::Document;
-use pathix_xpath::{parse_path, parse_query, PathParseError};
+use pathix_xpath::{parse_path, parse_query, LocationPath, PathParseError};
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Which device backs the database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,35 +106,6 @@ impl From<ExecError> for DbError {
     }
 }
 
-/// Result of a parallel batch run (see [`Database::run_parallel`]).
-#[derive(Debug)]
-pub struct ParallelRun {
-    /// One result per work item, in batch order. Failures are contained
-    /// per item: a query hitting an unrecoverable page read fails alone
-    /// with [`ExecError::Io`] while the rest of the batch completes.
-    pub runs: Vec<Result<ConcurrentRun, ExecError>>,
-    /// Sum of the successful per-item reports (aggregate simulated work,
-    /// not elapsed wall time — workers run concurrently).
-    pub report: ExecReport,
-    /// Shared page cache counters for the whole batch.
-    pub cache: SharedPageCacheStats,
-}
-
-/// Result of a governed parallel batch run
-/// (see [`Database::run_parallel_governed`]).
-#[derive(Debug)]
-pub struct GovernedRun {
-    /// One result per work item, in batch order. Shed items carry
-    /// [`ExecError::Overloaded`]; deadline-aborted items carry
-    /// [`ExecError::DeadlineExceeded`]; canceled items
-    /// [`ExecError::Canceled`].
-    pub runs: Vec<Result<ConcurrentRun, ExecError>>,
-    /// Sum of the successful per-item reports.
-    pub report: ExecReport,
-    /// Batch-level governor tallies (admitted / shed / degraded / …).
-    pub governor: GovernorReport,
-}
-
 /// A stored document plus everything needed to query it.
 pub struct Database {
     store: TreeStore,
@@ -180,7 +151,7 @@ impl Database {
     /// Imports `doc` into a fresh device wrapped in a fault-injection
     /// layer ([`pathix_storage::FaultDevice`]) driven by `plan`. The
     /// import itself writes to the clean inner device; the plan afflicts
-    /// query-time reads only. Forks taken for [`Self::run_parallel`]
+    /// query-time reads only. Forks taken for [`Self::run_batch`]
     /// share the plan (one global occurrence count), so a fault schedule
     /// means the same thing in sequential and parallel runs.
     pub fn from_document_with_faults(
@@ -253,28 +224,6 @@ impl Database {
         Ok(execute_query(&self.store, &q, cfg)?)
     }
 
-    /// Runs a bare location path, returning the result nodes.
-    pub fn run_path(&self, path: &str, cfg: &PlanConfig) -> Result<PathRun, DbError> {
-        let p = parse_path(path)?.rooted();
-        Ok(execute_path(&self.store, &p, cfg)?)
-    }
-
-    /// Runs a location path from explicit context nodes.
-    pub fn run_path_from(
-        &self,
-        path: &str,
-        contexts: Vec<NodeId>,
-        cfg: &PlanConfig,
-    ) -> Result<PathRun, DbError> {
-        let p = parse_path(path)?;
-        Ok(pathix_core::plan::execute_path_from(
-            &self.store,
-            &p,
-            contexts,
-            cfg,
-        )?)
-    }
-
     /// Evaluates several location paths with **one** shared sequential scan
     /// (the paper's multi-path extension). Paths are rooted like `run`.
     pub fn run_multi(&self, paths: &[&str], cfg: &PlanConfig) -> Result<MultiPathRun, DbError> {
@@ -292,76 +241,36 @@ impl Database {
         work: &[(&str, Method)],
         cfg: &PlanConfig,
     ) -> Result<(Vec<ConcurrentRun>, ExecReport), DbError> {
-        let parsed: Vec<(pathix_xpath::LocationPath, Method)> = work
-            .iter()
-            .map(|(p, m)| parse_path(p).map(|x| (x.rooted(), *m)))
-            .collect::<Result<_, _>>()?;
-        Ok(execute_interleaved(&self.store, &parsed, cfg)?)
+        Ok(execute_interleaved(&self.store, &parse_work(work)?, cfg)?)
     }
 
     /// Runs several `(path, method)` plans in parallel on `workers` OS
-    /// threads over a shared page cache (see `pathix_core::server`). Each
-    /// worker owns a private fork of this database's device, so the main
-    /// store is untouched: its clock, buffer, and statistics do not move.
+    /// threads (see `pathix_core::server::execute_batch`). Each worker owns
+    /// a private fork of this database's device, so the main store is
+    /// untouched: its clock, buffer, and statistics do not move.
+    ///
+    /// Each item carries the [`QueryBudget`] at its batch index (deadline /
+    /// cancel; missing entries mean "unlimited"), and the batch as a whole
+    /// is subject to `admission` control. A batch that [`cold_start`]s —
+    /// some budget has a deadline, or admission sets a ledger — runs every
+    /// item on a cold buffer over plain forks, so its simulated timeline is
+    /// a pure function of the item; the shared-cache counters are then
+    /// `None`. Every other batch stacks the forks on one fresh shared page
+    /// cache, and its items reuse each other's pages.
     ///
     /// Results are in batch order and bit-identical to running each plan
     /// sequentially. Fails with [`DbError::Unsupported`] if the device
     /// cannot be forked (e.g. a file-backed device).
-    pub fn run_parallel(
-        &self,
-        work: &[(&str, Method)],
-        cfg: &PlanConfig,
-        workers: usize,
-    ) -> Result<ParallelRun, DbError> {
-        let parsed: Vec<(pathix_xpath::LocationPath, Method)> = work
-            .iter()
-            .map(|(p, m)| parse_path(p).map(|x| (x.rooted(), *m)))
-            .collect::<Result<_, _>>()?;
-        let cache = std::sync::Arc::new(SharedPageCache::new());
-        let mut seeds = Vec::with_capacity(workers.max(1));
-        for _ in 0..workers.max(1) {
-            let fork = self
-                .store
-                .buffer
-                .device_mut()
-                .try_fork()
-                .ok_or(DbError::Unsupported("this device cannot be forked"))?;
-            seeds.push(WorkerSeed {
-                device: Box::new(SharedCacheDevice::new(fork, std::sync::Arc::clone(&cache))),
-                meta: self.store.meta.clone(),
-                params: self.store.buffer.params(),
-            });
-        }
-        let batch = execute_batch_parallel(seeds, &parsed, cfg);
-        Ok(ParallelRun {
-            runs: batch.runs,
-            report: batch.report,
-            cache: cache.stats(),
-        })
-    }
-
-    /// Runs a governed parallel batch: each work item carries a
-    /// [`QueryBudget`] (deadline / memory / cancel), and the batch as a
-    /// whole is subject to admission control (`admission`). Budgets are
-    /// matched to work items by batch index; missing entries mean
-    /// "unlimited".
-    ///
-    /// Unlike [`Self::run_parallel`], workers do **not** share a page
-    /// cache: every item starts on a cold private buffer so that its
-    /// simulated timeline — and therefore its deadline outcome — is a
-    /// pure function of the item itself, not of scheduling luck.
-    pub fn run_parallel_governed(
+    pub fn run_batch(
         &self,
         work: &[(&str, Method)],
         cfg: &PlanConfig,
         workers: usize,
         budgets: &[QueryBudget],
         admission: &AdmissionConfig,
-    ) -> Result<GovernedRun, DbError> {
-        let parsed: Vec<(pathix_xpath::LocationPath, Method)> = work
-            .iter()
-            .map(|(p, m)| parse_path(p).map(|x| (x.rooted(), *m)))
-            .collect::<Result<_, _>>()?;
+    ) -> Result<(BatchRun, Option<SharedPageCacheStats>), DbError> {
+        let parsed = parse_work(work)?;
+        let cache = (!cold_start(budgets, admission)).then(|| Arc::new(SharedPageCache::new()));
         let mut seeds = Vec::with_capacity(workers.max(1));
         for _ in 0..workers.max(1) {
             let fork = self
@@ -371,17 +280,16 @@ impl Database {
                 .try_fork()
                 .ok_or(DbError::Unsupported("this device cannot be forked"))?;
             seeds.push(WorkerSeed {
-                device: fork,
+                device: match &cache {
+                    Some(cache) => Box::new(SharedCacheDevice::new(fork, Arc::clone(cache))),
+                    None => fork,
+                },
                 meta: self.store.meta.clone(),
                 params: self.store.buffer.params(),
             });
         }
-        let batch = execute_batch_governed(seeds, &parsed, cfg, budgets, admission);
-        Ok(GovernedRun {
-            runs: batch.runs,
-            report: batch.report,
-            governor: batch.governor,
-        })
+        let batch = execute_batch(seeds, &parsed, cfg, budgets, admission);
+        Ok((batch, cache.map(|c| c.stats())))
     }
 
     fn optimizer(&self) -> Optimizer<'_> {
@@ -459,6 +367,13 @@ impl Database {
     pub fn device_trace(&self) -> Vec<u32> {
         self.store.buffer.device_mut().access_trace().to_vec()
     }
+}
+
+/// Parses and roots the paths of a `(path, method)` work list.
+fn parse_work(work: &[(&str, Method)]) -> Result<Vec<(LocationPath, Method)>, PathParseError> {
+    work.iter()
+        .map(|(p, m)| parse_path(p).map(|x| (x.rooted(), *m)))
+        .collect()
 }
 
 #[cfg(test)]

@@ -49,9 +49,9 @@ pub use pathix_xpath as xpath;
 
 mod db;
 
-pub use db::{Database, DatabaseOptions, DbError, DeviceKind, GovernedRun, ParallelRun};
+pub use db::{Database, DatabaseOptions, DbError, DeviceKind};
 pub use pathix_core::{
-    AdmissionConfig, CancelToken, Deadline, ExecError, ExecReport, GovernorReport, MemLedger,
-    Method, PlanConfig, QueryBudget, QueryRun,
+    AdmissionConfig, BatchRun, CancelToken, Deadline, ExecError, ExecReport, GovernorReport,
+    MemLedger, Method, PlanConfig, QueryBudget, QueryRun,
 };
 pub use pathix_storage::{FaultKind, FaultPlan, FaultRule};

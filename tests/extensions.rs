@@ -36,7 +36,7 @@ fn shared_scan_agrees_with_independent_plans() {
     cfg.sort = true;
     let multi = db.run_multi(&paths, &cfg).unwrap();
     for (i, p) in paths.iter().enumerate() {
-        let single = db.run_path(p, &cfg).unwrap();
+        let single = db.run_with(p, &cfg).unwrap();
         assert_eq!(multi.per_path[i], single.nodes, "path {p}");
     }
     // One scan total.

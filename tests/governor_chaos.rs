@@ -69,7 +69,7 @@ fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
             .map(|(p, m)| {
                 let mut item_cfg = cfg;
                 item_cfg.method = *m;
-                db.run_path(p, &item_cfg).expect("clean run").nodes
+                db.run_with(p, &item_cfg).expect("clean run").nodes
             })
             .collect::<Vec<_>>();
         assert!(reference.iter().any(|nodes| !nodes.is_empty()));
@@ -183,8 +183,8 @@ proptest! {
             max_admitted: cap,
             ledger_cap_bytes: None,
         };
-        let batch = db
-            .run_parallel_governed(&work, &sorted_cfg(), 2, &budgets, &admission)
+        let (batch, _) = db
+            .run_batch(&work, &sorted_cfg(), 2, &budgets, &admission)
             .expect("mem devices fork");
 
         let admitted_cap = cap.unwrap_or(usize::MAX);
@@ -215,8 +215,8 @@ proptest! {
         let work = corpus();
         let db = Database::from_document(doc(), &mem_opts()).expect("clean import");
         let budgets = vec![QueryBudget::unlimited(); work.len()];
-        let batch = db
-            .run_parallel_governed(&work, &sorted_cfg(), workers, &budgets,
+        let (batch, _) = db
+            .run_batch(&work, &sorted_cfg(), workers, &budgets,
                 &AdmissionConfig::unlimited())
             .expect("mem devices fork");
         for (i, run) in batch.runs.iter().enumerate() {
@@ -256,8 +256,8 @@ fn governed_outcomes_are_deterministic_across_workers_and_runs() {
     };
 
     let outcome_of = |workers: usize| -> Vec<&'static str> {
-        let batch = db
-            .run_parallel_governed(&work, &sorted_cfg(), workers, &budgets, &admission)
+        let (batch, _) = db
+            .run_batch(&work, &sorted_cfg(), workers, &budgets, &admission)
             .expect("mem devices fork");
         classify(
             &batch.runs,

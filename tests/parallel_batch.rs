@@ -1,4 +1,4 @@
-//! End-to-end checks of the parallel batch executor (`Database::run_parallel`):
+//! End-to-end checks of the parallel batch executor (`Database::run_batch`):
 //! for any worker count and any method mix, parallel results are bit-identical
 //! to sequential one-at-a-time execution, the shared-cache read path performs
 //! zero page copies, and the per-plan report deltas sum to the combined batch
@@ -7,7 +7,10 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
+use pathix::{
+    AdmissionConfig, BatchRun, Database, DatabaseOptions, DeviceKind, ExecError, Method, PlanConfig,
+};
+use pathix_storage::SharedPageCacheStats;
 
 const PATHS: [&str; 6] = [
     "/site/regions//item",
@@ -35,6 +38,22 @@ fn sorted_cfg() -> PlanConfig {
     cfg
 }
 
+/// An ungoverned batch: no budgets, no admission limits.
+fn ungoverned_batch(
+    db: &Database,
+    work: &[(&str, Method)],
+    workers: usize,
+) -> (BatchRun, Option<SharedPageCacheStats>) {
+    db.run_batch(
+        work,
+        &sorted_cfg(),
+        workers,
+        &[],
+        &AdmissionConfig::unlimited(),
+    )
+    .unwrap()
+}
+
 /// The determinism contract: for every worker count, the parallel batch
 /// returns exactly what sequential one-at-a-time execution returns, in
 /// batch order, for all three methods.
@@ -49,14 +68,14 @@ fn parallel_is_bit_identical_to_sequential_for_any_worker_count() {
         .map(|(p, m)| {
             let mut item_cfg = cfg;
             item_cfg.method = *m;
-            db.run_path(p, &item_cfg).unwrap().nodes
+            db.run_with(p, &item_cfg).unwrap().nodes
         })
         .collect();
     // The corpus is non-trivial: every path matches something.
     assert!(reference.iter().all(|nodes| !nodes.is_empty()));
 
     for workers in [1, 2, 3, 8] {
-        let batch = db.run_parallel(&work, &cfg, workers).unwrap();
+        let (batch, _) = ungoverned_batch(&db, &work, workers);
         assert_eq!(batch.runs.len(), reference.len());
         for (i, (run, want)) in batch.runs.iter().zip(&reference).enumerate() {
             let run = run.as_ref().expect("fault-free batch item succeeds");
@@ -75,11 +94,11 @@ fn parallel_is_bit_identical_to_sequential_for_any_worker_count() {
 #[test]
 fn shared_cache_read_path_is_zero_copy() {
     let db = Database::from_xmark(0.012, &DatabaseOptions::default()).unwrap();
-    let batch = db.run_parallel(&corpus(), &sorted_cfg(), 4).unwrap();
+    let (batch, cache) = ungoverned_batch(&db, &corpus(), 4);
     assert_eq!(batch.report.device.page_copies, 0);
     // The cache actually served the batch: every physical read went
     // through it as a miss, and reads happened.
-    assert!(batch.cache.misses > 0);
+    assert!(cache.expect("an ungoverned batch shares a cache").misses > 0);
     assert!(batch.report.device.reads > 0);
 }
 
@@ -88,7 +107,7 @@ fn shared_cache_read_path_is_zero_copy() {
 #[test]
 fn per_plan_reports_sum_to_combined() {
     let db = Database::from_xmark(0.012, &DatabaseOptions::default()).unwrap();
-    let batch = db.run_parallel(&corpus(), &sorted_cfg(), 3).unwrap();
+    let (batch, _) = ungoverned_batch(&db, &corpus(), 3);
     let read_sum: u64 = batch
         .runs
         .iter()
@@ -112,13 +131,46 @@ fn mem_device_and_excess_workers() {
     let db = Database::from_xmark(0.012, &opts).unwrap();
     let work = [("/site/regions//item", Method::xschedule())];
     let cfg = sorted_cfg();
-    let want = db.run_path(work[0].0, &{
+    let want = db.run_with(work[0].0, &{
         let mut c = cfg;
         c.method = work[0].1;
         c
     });
-    let batch = db.run_parallel(&work, &cfg, 16).unwrap();
+    let (batch, _) = ungoverned_batch(&db, &work, 16);
     assert_eq!(batch.runs.len(), 1);
     let run = batch.runs[0].as_ref().expect("item succeeds");
     assert_eq!(run.nodes, want.unwrap().nodes);
+}
+
+/// Admission caps alone (no deadline, no ledger) do not make a batch cold:
+/// it runs over the shared page cache and still sheds exactly the batch
+/// tail, while every admitted item answers like sequential execution.
+#[test]
+fn admission_caps_alone_shed_the_tail_over_the_shared_cache() {
+    let db = Database::from_xmark(0.012, &DatabaseOptions::default()).unwrap();
+    let work = corpus();
+    let cfg = sorted_cfg();
+    let admitted = work.len() - 3;
+    let admission = AdmissionConfig {
+        max_in_flight: 2,
+        max_admitted: Some(admitted),
+        ledger_cap_bytes: None,
+    };
+    let (batch, cache) = db.run_batch(&work, &cfg, 3, &[], &admission).unwrap();
+    assert!(cache.expect("no deadline, no ledger: shared cache").misses > 0);
+    for (i, run) in batch.runs.iter().enumerate() {
+        if i < admitted {
+            let mut item_cfg = cfg;
+            item_cfg.method = work[i].1;
+            let want = db.run_with(work[i].0, &item_cfg).unwrap().nodes;
+            assert_eq!(run.as_ref().expect("admitted item answers").nodes, want);
+        } else {
+            assert!(
+                matches!(run, Err(ExecError::Overloaded)),
+                "item {i} not shed"
+            );
+        }
+    }
+    assert_eq!(batch.governor.admitted, admitted as u64);
+    assert_eq!(batch.governor.shed, 3);
 }

@@ -86,6 +86,67 @@ fn run_orders(db: &Database, path: &LocationPath, cfg: &PlanConfig) -> Vec<u64> 
     run.nodes.iter().map(|&(_, o)| o).collect()
 }
 
+/// The shrunk failure case recorded in `plan_equivalence.proptest-regressions`
+/// (the vendored proptest stand-in never replays that file): a 6-node tree
+/// on 256-byte chunk-shuffled pages and `descendant-or-self::node()/
+/// following-sibling::*`, whose sideways second step is exactly what
+/// `scan_all_reachable_step` must not shortcut. Every method, with and
+/// without forced fallback, must return the reference answer.
+#[test]
+fn regression_dos_following_sibling_on_chunk_shuffled_pages() {
+    let spec = TreeSpec {
+        nodes: vec![
+            (0, 0),
+            (44322821920603, 3),
+            (1234970045338225773, 2),
+            (5963548116263601247, 0),
+            (6949156258675395666, 1),
+            (4450955458445762878, 0),
+        ],
+    };
+    let path = LocationPath::new(vec![
+        Step::new(Axis::DescendantOrSelf, NodeTest::AnyNode),
+        Step::new(Axis::FollowingSibling, NodeTest::AnyElement),
+    ]);
+    let placement = Placement::ChunkShuffled {
+        chunk: 4,
+        seed: 13500645698231412803,
+    };
+    let doc = build_doc(&spec);
+    let want = reference_orders(&doc, &path);
+    let opts = DatabaseOptions {
+        page_size: 256,
+        placement,
+        buffer_pages: 16,
+        device: DeviceKind::Mem,
+        ..Default::default()
+    };
+    let db = Database::from_document(&doc, &opts).expect("import");
+    for method in [
+        Method::Simple,
+        Method::XSchedule {
+            k: 3,
+            speculative: false,
+        },
+        Method::XSchedule {
+            k: 100,
+            speculative: true,
+        },
+        Method::XScan,
+    ] {
+        for mem_limit in [None, Some(0)] {
+            let mut cfg = PlanConfig::new(method);
+            cfg.sort = true;
+            cfg.mem_limit = mem_limit;
+            assert_eq!(
+                run_orders(&db, &path, &cfg),
+                want,
+                "plan {method:?} (mem_limit {mem_limit:?}) diverged"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: std::env::var("PROPTEST_CASES")

@@ -98,10 +98,10 @@ fn document_order_is_stable_across_plans() {
     let db = Database::from_document(&doc, &opts(Placement::Shuffled { seed: 11 })).unwrap();
     let mut cfg = PlanConfig::new(Method::XScan);
     cfg.sort = true;
-    let scan = db.run_path("/site/regions//item/name", &cfg).unwrap();
+    let scan = db.run_with("/site/regions//item/name", &cfg).unwrap();
     let mut cfg2 = PlanConfig::new(Method::Simple);
     cfg2.sort = true;
-    let simple = db.run_path("/site/regions//item/name", &cfg2).unwrap();
+    let simple = db.run_with("/site/regions//item/name", &cfg2).unwrap();
     assert_eq!(scan.nodes, simple.nodes);
     // Orders strictly increase — document order, duplicate free.
     assert!(scan.nodes.windows(2).all(|w| w[0].1 < w[1].1));
