@@ -1,10 +1,10 @@
 //! Wall-clock microbenchmarks of the command-queue substrate: the indexed
-//! visible-window queue vs. the naive alloc-and-sort replica, per visible
+//! visible-window queue vs. the reference alloc-and-sort scheduler, per visible
 //! window depth (ISSUE 2 tentpole part 4). These measure real CPU time —
 //! the simulated clock is the *workload*, not the metric.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pathix_bench::throughput::{indexed_drain, naive_drain};
+use pathix_bench::throughput::{indexed_drain, reference_drain};
 
 const PENDING: usize = 2048;
 
@@ -16,7 +16,7 @@ fn bench_queue_drain(c: &mut Criterion) {
             b.iter(|| indexed_drain(PENDING, d))
         });
         group.bench_with_input(BenchmarkId::new("naive", depth), &depth, |b, &d| {
-            b.iter(|| naive_drain(PENDING, d))
+            b.iter(|| reference_drain(PENDING, d))
         });
     }
     group.finish();

@@ -5,11 +5,12 @@
 //! Two measurements:
 //!
 //! 1. **Queue microbench** — drain a large pending set through the indexed
-//!    [`SimDisk`] command queue vs. a faithful replica of the pre-PR2
-//!    alloc-and-sort scheduler ([`NaiveDisk`]), at several visible-window
-//!    depths. Both sides simulate the identical workload (same LCG page
-//!    sequence, same cost model), and the harness cross-checks that their
-//!    simulated outcomes agree before trusting the wall-clock ratio.
+//!    [`SimDisk`] command queue vs. the original alloc-and-sort scheduler
+//!    ([`ReferenceDisk`]), both driven through the [`Device`] interface, at
+//!    several visible-window depths. Both sides simulate the identical
+//!    workload (same LCG page sequence, same cost model), and the harness
+//!    cross-checks that their simulated outcomes agree before trusting the
+//!    wall-clock ratio.
 //! 2. **Engine sweep** — run a benchmark query end-to-end for
 //!    Simple/XSchedule/XScan at each device queue depth, reporting real
 //!    pages/s and result-nodes/s (wall clock, not simulated ns), plus the
@@ -20,8 +21,7 @@
 
 use crate::{bench_options, build_db_with, Q6};
 use pathix::{Method, PlanConfig};
-use pathix_storage::{Device, DiskProfile, SimClock, SimDisk};
-use std::collections::VecDeque;
+use pathix_storage::{Device, DiskProfile, ReferenceDisk, SimClock, SimDisk};
 use std::time::Instant;
 
 /// Device queue depths swept by both measurements.
@@ -38,119 +38,6 @@ fn lcg(x: &mut u64) -> u64 {
     *x >> 33
 }
 
-struct NaivePending {
-    page: u32,
-    submitted_at_ns: u64,
-    seq: u64,
-}
-
-/// Replica of the pre-PR2 `SimDisk` scheduling core: every pick allocates
-/// an index vector, sorts it by submission sequence, truncates to the
-/// visible window and scans it — O(n log n) per serve. Page bytes are
-/// omitted (the microbench measures scheduling, not memcpy, so the replica
-/// gets the *benefit* of the doubt on the copy path).
-pub struct NaiveDisk {
-    profile: DiskProfile,
-    head: u32,
-    busy_until_ns: u64,
-    pending: Vec<NaivePending>,
-    completed: VecDeque<(u32, u64)>,
-    next_seq: u64,
-    busy_total_ns: u64,
-}
-
-impl NaiveDisk {
-    /// Creates the replica with the given cost profile (SSTF policy).
-    pub fn new(profile: DiskProfile) -> Self {
-        Self {
-            profile,
-            head: 0,
-            busy_until_ns: 0,
-            pending: Vec::new(),
-            completed: VecDeque::new(),
-            next_seq: 0,
-            busy_total_ns: 0,
-        }
-    }
-
-    /// Total simulated busy time — cross-checked against the indexed disk.
-    pub fn busy_ns(&self) -> u64 {
-        self.busy_total_ns
-    }
-
-    fn visible_queue(&self) -> usize {
-        if self.profile.queue_depth == 0 {
-            self.pending.len()
-        } else {
-            self.profile.queue_depth.min(self.pending.len())
-        }
-    }
-
-    fn pick_next(&self) -> Option<usize> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let mut idx: Vec<usize> = (0..self.pending.len()).collect();
-        idx.sort_by_key(|&i| self.pending[i].seq);
-        idx.truncate(self.visible_queue());
-        idx.into_iter().min_by_key(|&i| {
-            let p = self.pending[i].page;
-            (p.abs_diff(self.head), p)
-        })
-    }
-
-    fn serve(&mut self, i: usize) -> (u32, u64) {
-        let queued = self.visible_queue().saturating_sub(1);
-        let req = self.pending.swap_remove(i);
-        let start = self.busy_until_ns.max(req.submitted_at_ns);
-        let cost = self
-            .profile
-            .access_cost_queued_ns(self.head, req.page, queued);
-        let finished = start + cost;
-        self.busy_total_ns += cost;
-        self.head = req.page + 1;
-        self.busy_until_ns = finished;
-        (req.page, finished)
-    }
-
-    fn advance(&mut self, now_ns: u64) {
-        while let Some(i) = self.pick_next() {
-            let req = &self.pending[i];
-            let start = self.busy_until_ns.max(req.submitted_at_ns);
-            let queued = self.visible_queue().saturating_sub(1);
-            let cost = self
-                .profile
-                .access_cost_queued_ns(self.head, req.page, queued);
-            if start + cost > now_ns {
-                break;
-            }
-            let c = self.serve(i);
-            self.completed.push_back(c);
-        }
-    }
-
-    /// Queues a read request.
-    pub fn submit(&mut self, page: u32, now_ns: u64) {
-        self.advance(now_ns);
-        self.pending.push(NaivePending {
-            page,
-            submitted_at_ns: now_ns,
-            seq: self.next_seq,
-        });
-        self.next_seq += 1;
-    }
-
-    /// Blocking poll; returns `(page, finished_at_ns)`.
-    pub fn poll_blocking(&mut self, now_ns: u64) -> Option<(u32, u64)> {
-        self.advance(now_ns);
-        if let Some(c) = self.completed.pop_front() {
-            return Some(c);
-        }
-        let i = self.pick_next()?;
-        Some(self.serve(i))
-    }
-}
-
 fn micro_profile(depth: usize) -> DiskProfile {
     DiskProfile {
         queue_depth: depth,
@@ -158,35 +45,31 @@ fn micro_profile(depth: usize) -> DiskProfile {
     }
 }
 
-/// Drains `n` pseudo-random requests through the naive scheduler.
-/// Returns `(final_now_ns, busy_ns)`.
-pub fn naive_drain(n: usize, depth: usize) -> (u64, u64) {
-    let mut d = NaiveDisk::new(micro_profile(depth));
+/// Drains `n` pseudo-random requests through `disk` (which gets `n` empty
+/// pages first). Returns `(final_now_ns, busy_ns)`.
+fn drain(mut disk: impl Device, n: usize) -> (u64, u64) {
+    for _ in 0..n {
+        disk.append_page(Vec::new());
+    }
+    let clock = SimClock::new();
     let mut x = 0x2545F4914F6CDD1Du64;
     for _ in 0..n {
-        d.submit(lcg(&mut x) as u32 % n as u32, 0);
+        disk.submit(lcg(&mut x) as u32 % n as u32, &clock);
     }
-    let mut now = 0u64;
-    while let Some((_, fin)) = d.poll_blocking(now) {
-        now = now.max(fin);
-    }
-    (now, d.busy_ns())
+    while disk.poll(&clock, true).is_some() {}
+    (clock.now_ns(), disk.stats().busy_ns)
+}
+
+/// Drains the workload through the original alloc-and-sort scheduler
+/// ([`ReferenceDisk`]). Returns `(final_now_ns, busy_ns)`.
+pub fn reference_drain(n: usize, depth: usize) -> (u64, u64) {
+    drain(ReferenceDisk::with_profile(64, micro_profile(depth)), n)
 }
 
 /// Drains the identical workload through the real indexed [`SimDisk`].
 /// Returns `(final_now_ns, busy_ns)`.
 pub fn indexed_drain(n: usize, depth: usize) -> (u64, u64) {
-    let mut d = SimDisk::with_profile(64, micro_profile(depth));
-    for _ in 0..n {
-        d.append_page(Vec::new());
-    }
-    let clock = SimClock::new();
-    let mut x = 0x2545F4914F6CDD1Du64;
-    for _ in 0..n {
-        d.submit(lcg(&mut x) as u32 % n as u32, &clock);
-    }
-    while d.poll(&clock, true).is_some() {}
-    (clock.now_ns(), d.stats().busy_ns)
+    drain(SimDisk::with_profile(64, micro_profile(depth)), n)
 }
 
 /// One microbench comparison at one depth.
@@ -212,7 +95,7 @@ pub fn micro_sweep(n: usize, depths: &[usize]) -> Vec<MicroRow> {
         .iter()
         .map(|&depth| {
             let t = Instant::now();
-            let naive = naive_drain(n, depth);
+            let naive = reference_drain(n, depth);
             let naive_ms = t.elapsed().as_secs_f64() * 1e3;
             let t = Instant::now();
             let indexed = indexed_drain(n, depth);
@@ -277,7 +160,7 @@ pub fn engine_sweep(scale: f64, depths: &[usize], instant_profile: bool) -> Vec<
             db.reset_device_stats();
             let cfg = PlanConfig::new(m);
             let t = Instant::now();
-            let run = db.run_with(Q6, &cfg).expect("throughput query runs");
+            let run = db.run(Q6, &cfg).expect("throughput query runs");
             let wall_s = t.elapsed().as_secs_f64().max(1e-9);
             let dev = run.report.device;
             rows.push(EngineRow {
@@ -343,7 +226,7 @@ mod tests {
     #[test]
     fn naive_and_indexed_agree_on_simulated_outcome() {
         for depth in [1, 7, 0] {
-            assert_eq!(naive_drain(300, depth), indexed_drain(300, depth));
+            assert_eq!(reference_drain(300, depth), indexed_drain(300, depth));
         }
     }
 

@@ -13,9 +13,7 @@
 
 use crate::context::ExecCtx;
 use crate::error::ExecError;
-use crate::instance::REnd;
-use crate::ops::Operator;
-use crate::plan::{build_plan, Method, PlanConfig};
+use crate::plan::{Method, PlanConfig, PlanCursor};
 use crate::report::{buffer_delta, device_delta, ExecReport};
 use pathix_tree::{NodeId, TreeStore};
 use pathix_xpath::LocationPath;
@@ -28,14 +26,31 @@ pub struct ConcurrentRun {
     /// The plan's method label.
     pub method: String,
     /// This plan's own share of the batch cost: clock/buffer/device deltas
-    /// accumulated around its `next()` turns plus its private algebra
-    /// counters. Summing the per-plan reports reproduces the combined
-    /// batch report's I/O and time totals.
+    /// accumulated around its `next()` turns and its final sort, plus its
+    /// private algebra counters. Summing the per-plan reports reproduces
+    /// the combined batch report's I/O and time totals.
     pub report: ExecReport,
 }
 
+/// Runs `f`, adding the clock/buffer/device activity it causes to `acc`.
+fn bracketed<R>(store: &TreeStore, acc: &mut ExecReport, f: impl FnOnce() -> R) -> R {
+    let t0 = store.clock().breakdown();
+    let b0 = store.buffer.stats();
+    let d0 = store.buffer.device_stats();
+    let out = f();
+    acc.absorb(&ExecReport {
+        time: store.clock().breakdown().since(&t0),
+        buffer: buffer_delta(store.buffer.stats(), b0),
+        device: device_delta(store.buffer.device_stats(), d0),
+        ..Default::default()
+    });
+    out
+}
+
 /// Runs all `(path, method)` pairs concurrently (interleaved on the shared
-/// simulated device) and reports the combined cost.
+/// simulated device) and reports the combined cost. Each plan is charged
+/// like a sequential run of it: Simple plans pay their duplicate
+/// elimination, and with `cfg.sort` every plan pays its final sort.
 ///
 /// Fails with [`ExecError::UnexpectedEnd`] if any plan breaks the output
 /// contract (a bug in the operator tree, never the caller's input).
@@ -50,79 +65,27 @@ pub fn execute_interleaved(
     let buf0 = store.buffer.stats();
     let dev0 = store.buffer.device_stats();
 
-    struct Slot<'a> {
-        plan: Box<dyn Operator>,
-        cx: ExecCtx<'a>,
-        nodes: Vec<(NodeId, u64)>,
-        method: Method,
-        done: bool,
-        /// Accumulated clock/buffer/device deltas attributed to this plan.
-        acc: ExecReport,
-    }
-
-    let mut slots: Vec<Slot<'_>> = work
+    // Each cursor with the clock/buffer/device deltas attributed to it.
+    let mut slots: Vec<(PlanCursor<'_>, ExecReport)> = work
         .iter()
         .map(|(path, method)| {
-            let path = if cfg.normalize {
-                path.normalize()
-            } else {
-                path.clone()
-            };
             let cx = ExecCtx::new(store, cfg.costs, cfg.mem_limit);
-            let plan = build_plan(store, &path, *method);
-            Slot {
-                plan,
-                cx,
-                nodes: Vec::new(),
-                method: *method,
-                done: false,
-                acc: ExecReport::default(),
-            }
+            (
+                PlanCursor::new(path, cfg, *method, cx),
+                ExecReport::default(),
+            )
         })
         .collect();
 
-    // Round-robin until every plan is exhausted. One `next()` per turn
-    // interleaves the plans' I/O at instance granularity.
+    // Round-robin until every plan is exhausted. One pull per turn
+    // interleaves the plans' I/O at instance granularity; each turn is
+    // bracketed so its activity is attributed to its plan.
     loop {
         let mut progressed = false;
-        for slot in &mut slots {
-            if slot.done {
-                continue;
+        for (cursor, acc) in &mut slots {
+            if !cursor.done() {
+                progressed |= bracketed(store, acc, || cursor.pull())?;
             }
-            // Bracket this plan's turn so its share of clock/buffer/device
-            // activity can be attributed to it (satellite: per-plan report).
-            let t0 = store.clock().breakdown();
-            let b0 = store.buffer.stats();
-            let d0 = store.buffer.device_stats();
-            match slot.plan.next(&slot.cx) {
-                Some(p) => {
-                    progressed = true;
-                    match &p.nr {
-                        REnd::Done { id, order } => slot.nodes.push((*id, *order)),
-                        REnd::Core {
-                            cluster,
-                            slot: s,
-                            order,
-                        } => slot.nodes.push((cluster.id(*s), *order)),
-                        REnd::Cold { id, .. } => match store.checked_fix(id.page) {
-                            Some(cluster) => {
-                                slot.nodes.push((*id, cluster.node(id.slot).order));
-                            }
-                            None => slot.done = true, // error recorded; abort below
-                        },
-                        other => {
-                            return Err(ExecError::unexpected_end("execute_interleaved", other))
-                        }
-                    }
-                }
-                None => slot.done = true,
-            }
-            slot.acc.absorb(&ExecReport {
-                time: store.clock().breakdown().since(&t0),
-                buffer: buffer_delta(store.buffer.stats(), b0),
-                device: device_delta(store.buffer.device_stats(), d0),
-                ..Default::default()
-            });
         }
         if !progressed || store.io_failed() {
             break;
@@ -142,24 +105,17 @@ pub fn execute_interleaved(
     }
 
     let mut runs = Vec::with_capacity(slots.len());
-    for mut slot in slots {
-        if matches!(slot.method, Method::Simple) {
-            // The Simple method needs its final duplicate elimination.
-            let mut seen = std::collections::HashSet::new();
-            slot.nodes.retain(|(id, _)| seen.insert(*id));
-        }
-        if cfg.sort {
-            slot.nodes.sort_by_key(|&(_, o)| o);
-        }
+    for (cursor, mut acc) in slots {
+        let (nodes, report) = bracketed(store, &mut acc, || cursor.finish(cfg.sort));
         let report = ExecReport {
-            time: slot.acc.time,
-            buffer: slot.acc.buffer,
-            device: slot.acc.device,
-            ..slot.cx.report(slot.method.label(), slot.nodes.len() as u64)
+            time: acc.time,
+            buffer: acc.buffer,
+            device: acc.device,
+            ..report
         };
         runs.push(ConcurrentRun {
-            nodes: slot.nodes,
-            method: slot.method.label().to_owned(),
+            nodes,
+            method: report.method.clone(),
             report,
         });
     }
@@ -226,27 +182,64 @@ mod tests {
     #[test]
     fn per_plan_reports_sum_to_combined() {
         let doc = sample_doc();
-        let store = mem_store(&doc, 256, Placement::Shuffled { seed: 23 });
         let work = vec![
             (parse_path("//item").unwrap(), Method::Simple),
             (parse_path("//email").unwrap(), Method::xschedule()),
             (parse_path("//name").unwrap(), Method::XScan),
         ];
-        let (runs, combined) = execute_interleaved(&store, &work, &PlanConfig::new(Method::Simple))
-            .expect("plans execute");
-        // Every read and every simulated nanosecond of the batch happens
-        // inside some plan's bracketed turn, so the per-plan deltas must
-        // sum exactly to the combined report.
-        let reads: u64 = runs.iter().map(|r| r.report.device.reads).sum();
-        let total_ns: u64 = runs.iter().map(|r| r.report.time.total_ns).sum();
-        let fixes: u64 = runs.iter().map(|r| r.report.buffer.fixes).sum();
-        assert_eq!(reads, combined.device.reads);
-        assert_eq!(total_ns, combined.time.total_ns);
-        assert_eq!(fixes, combined.buffer.fixes);
-        for run in &runs {
-            assert_eq!(run.report.results, run.nodes.len() as u64);
-            assert_eq!(run.report.method, run.method);
-            assert!(run.report.instances > 0, "{} did no work?", run.method);
+        let mut cpu_ns = Vec::new();
+        for sort in [false, true] {
+            let store = mem_store(&doc, 256, Placement::Shuffled { seed: 23 });
+            let mut cfg = PlanConfig::new(Method::Simple);
+            cfg.sort = sort;
+            let (runs, combined) = execute_interleaved(&store, &work, &cfg).expect("plans execute");
+            // Every read and every simulated nanosecond of the batch,
+            // including the final sorts, happens inside some plan's
+            // bracketed turn, so the per-plan deltas must sum exactly to
+            // the combined report.
+            let reads: u64 = runs.iter().map(|r| r.report.device.reads).sum();
+            let total_ns: u64 = runs.iter().map(|r| r.report.time.total_ns).sum();
+            let fixes: u64 = runs.iter().map(|r| r.report.buffer.fixes).sum();
+            assert_eq!(reads, combined.device.reads, "sort = {sort}");
+            assert_eq!(total_ns, combined.time.total_ns, "sort = {sort}");
+            assert_eq!(fixes, combined.buffer.fixes, "sort = {sort}");
+            for run in &runs {
+                assert_eq!(run.report.results, run.nodes.len() as u64);
+                assert_eq!(run.report.method, run.method);
+                assert!(run.report.instances > 0, "{} did no work?", run.method);
+            }
+            cpu_ns.push(combined.time.cpu_ns);
+        }
+        assert!(cpu_ns[1] > cpu_ns[0], "the final sorts are charged");
+    }
+
+    #[test]
+    fn interleaved_plans_charge_like_sequential_runs() {
+        // On identical cold stores, a lone interleaved plan must cost
+        // exactly what the sequential run of the same path costs: Simple
+        // pays its duplicate elimination, sorted plans pay their sort.
+        let doc = sample_doc();
+        let path = parse_path("//item/..//name").unwrap();
+        for method in [Method::Simple, Method::xschedule(), Method::XScan] {
+            for sort in [false, true] {
+                let mut cfg = PlanConfig::new(method);
+                cfg.sort = sort;
+                let store = mem_store(&doc, 256, Placement::Shuffled { seed: 29 });
+                let solo = crate::plan::execute_path(&store, &path, &cfg).expect("plan executes");
+                let store = mem_store(&doc, 256, Placement::Shuffled { seed: 29 });
+                let (runs, _) = execute_interleaved(&store, &[(path.clone(), method)], &cfg)
+                    .expect("plan executes");
+                let run = &runs[0];
+                assert_eq!(run.nodes, solo.nodes, "{method:?}, sort = {sort}");
+                assert_eq!(
+                    run.report.time.cpu_ns, solo.report.time.cpu_ns,
+                    "{method:?}, sort = {sort}"
+                );
+                assert_eq!(
+                    run.report.time.total_ns, solo.report.time.total_ns,
+                    "{method:?}, sort = {sort}"
+                );
+            }
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::context::ExecCtx;
 use crate::error::ExecError;
 use crate::instance::{Pi, REnd};
 use crate::ops::{Operator, XAssembly, XStep};
-use crate::plan::PlanConfig;
+use crate::plan::{sort_document_order, PlanConfig};
 use crate::report::{buffer_delta, device_delta, ExecReport};
 use pathix_tree::{NodeId, ResolvedTest, TreeStore};
 use pathix_xpath::LocationPath;
@@ -33,7 +33,6 @@ impl Operator for QueueSource {
 }
 
 struct PathPipeline {
-    path: LocationPath,
     len: u16,
     queue: Rc<RefCell<VecDeque<Pi>>>,
     top: XAssembly,
@@ -63,7 +62,9 @@ impl MultiPathRun {
 /// * paths are normalized if `cfg.normalize` is set;
 /// * `cfg.mem_limit` is not supported here (fallback would need a second
 ///   scan per path) — it is ignored;
-/// * `cfg.method` is ignored: the I/O operator is always the shared scan.
+/// * `cfg.method` is ignored: the I/O operator is always the shared scan;
+/// * with `cfg.sort`, each path's results are sorted and charged like a
+///   sequential run's.
 pub fn execute_paths_shared_scan(
     store: &TreeStore,
     paths: &[LocationPath],
@@ -95,7 +96,6 @@ pub fn execute_paths_shared_scan(
             }
             let all_reachable = crate::plan::scan_all_reachable_step(&path);
             PathPipeline {
-                path,
                 len,
                 queue,
                 top: XAssembly::new(op, len, None, all_reachable),
@@ -157,9 +157,8 @@ pub fn execute_paths_shared_scan(
             }
         }
         if cfg.sort {
-            pl.results.sort_by_key(|&(_, o)| o);
+            sort_document_order(store, &mut pl.results);
         }
-        let _ = &pl.path;
         per_path.push(pl.results);
     }
 

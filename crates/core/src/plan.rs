@@ -136,11 +136,7 @@ pub(crate) fn scan_all_reachable_step(path: &LocationPath) -> Option<u16> {
 }
 
 /// Builds the operator tree for a (normalized) path from the document root.
-pub(crate) fn build_plan(
-    store: &TreeStore,
-    path: &LocationPath,
-    method: Method,
-) -> Box<dyn Operator> {
+fn build_plan(store: &TreeStore, path: &LocationPath, method: Method) -> Box<dyn Operator> {
     let len = path.steps.len() as u16;
     let source: Box<dyn Operator> = Box::new(ContextSource::new(vec![store.meta.root]));
     match method {
@@ -208,11 +204,6 @@ pub(crate) fn run_path(
     budget: Option<&QueryBudget>,
     ledger: Option<&MemLedger>,
 ) -> Result<PathRun, ExecError> {
-    let path = if cfg.normalize {
-        path.normalize()
-    } else {
-        path.clone()
-    };
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
     let governed = budget.is_some() || ledger.is_some();
@@ -229,39 +220,15 @@ pub(crate) fn run_path(
     let buf0 = store.buffer.stats();
     let dev0 = store.buffer.device_stats();
 
-    let mut plan = build_plan(store, &path, cfg.method);
-    let mut nodes: Vec<(NodeId, u64)> = Vec::new();
-    let mut dedup: HashSet<NodeId> = HashSet::new();
-    let mut contract_err: Option<ExecError> = None;
-    let simple = matches!(cfg.method, Method::Simple);
-    while let Some(p) = plan.next(&cx) {
-        let (id, order) = match &p.nr {
-            REnd::Done { id, order } => (*id, *order),
-            REnd::Core {
-                cluster,
-                slot,
-                order,
-            } => (cluster.id(*slot), *order),
-            // Zero-step Simple plans emit the raw context instances.
-            REnd::Cold { id, .. } => match store.checked_fix(id.page) {
-                Some(cluster) => (*id, cluster.node(id.slot).order),
-                None => break, // error recorded; abort below
-            },
-            other => {
-                contract_err = Some(ExecError::unexpected_end("execute_path", other));
-                break;
-            }
-        };
-        if simple {
-            // Final duplicate elimination of the Simple method (§5.1).
-            cx.charge_set_op();
-            if !dedup.insert(id) {
-                continue;
-            }
+    let mut cursor = PlanCursor::new(path, cfg, cfg.method, cx);
+    let drained = loop {
+        match cursor.pull() {
+            Ok(true) => {}
+            end => break end,
         }
-        nodes.push((id, order));
-    }
-    drop(plan);
+    };
+    cursor.close();
+    let cx = &cursor.cx;
 
     // Governed epilogue: settle the ledger, then surface the abort cause (a
     // governor abort wins over the `Interrupted` I/O error it may have
@@ -297,9 +264,7 @@ pub(crate) fn run_path(
         }
     }
 
-    if let Some(e) = contract_err {
-        return Err(e);
-    }
+    drained?;
     if let Some(e) = recorded_io {
         // Clean abort: discard whatever asynchronous reads are still queued
         // so the next run starts from an idle device, then surface the
@@ -311,24 +276,134 @@ pub(crate) fn run_path(
         });
     }
 
-    if cfg.sort {
-        // §5.5: reordered evaluation needs a final sort into document order.
-        let n = nodes.len() as u64;
-        if n > 1 {
-            store
-                .clock()
-                .charge_cpu(SORT_CMP_NS * n * (64 - n.leading_zeros() as u64));
-        }
-        nodes.sort_by_key(|&(_, order)| order);
-    }
-
+    let (nodes, report) = cursor.finish(cfg.sort);
     let report = ExecReport {
         time: store.clock().breakdown().since(&clock0),
         buffer: buffer_delta(store.buffer.stats(), buf0),
         device: device_delta(store.buffer.device_stats(), dev0),
-        ..cx.report(cfg.method.label(), nodes.len() as u64)
+        ..report
     };
     Ok(PathRun { nodes, report })
+}
+
+/// A built plan plus its context, drained one output row at a time: the one
+/// place that maps plan output rows to result nodes, applies the Simple
+/// method's final duplicate elimination (§5.1) and sorts into document
+/// order (§5.5). [`run_path`] drains one cursor to the end; the interleaved
+/// executor round-robins one [`PlanCursor::pull`] per cursor.
+pub(crate) struct PlanCursor<'a> {
+    /// `None` once [`Self::close`] released the operator tree.
+    plan: Option<Box<dyn Operator>>,
+    pub(crate) cx: ExecCtx<'a>,
+    method: Method,
+    nodes: Vec<(NodeId, u64)>,
+    /// Result nodes seen so far (Simple only).
+    seen: HashSet<NodeId>,
+    done: bool,
+}
+
+impl<'a> PlanCursor<'a> {
+    /// Builds the `method` plan for `path` (normalized if `cfg` asks for
+    /// it) from the document root of `cx`'s store.
+    pub(crate) fn new(
+        path: &LocationPath,
+        cfg: &PlanConfig,
+        method: Method,
+        cx: ExecCtx<'a>,
+    ) -> Self {
+        let path = if cfg.normalize {
+            path.normalize()
+        } else {
+            path.clone()
+        };
+        Self {
+            plan: Some(build_plan(cx.store, &path, method)),
+            cx,
+            method,
+            nodes: Vec::new(),
+            seen: HashSet::new(),
+            done: false,
+        }
+    }
+
+    /// True once the plan is exhausted or aborted.
+    pub(crate) fn done(&self) -> bool {
+        self.done
+    }
+
+    /// Pulls one plan output row. `Ok(false)` once the plan is exhausted,
+    /// or aborted on an unrecovered read (the store holds the error). Fails
+    /// with [`ExecError::UnexpectedEnd`] if the plan breaks its output
+    /// contract.
+    pub(crate) fn pull(&mut self) -> Result<bool, ExecError> {
+        let Some(plan) = self.plan.as_mut().filter(|_| !self.done) else {
+            return Ok(false);
+        };
+        let Some(p) = plan.next(&self.cx) else {
+            self.done = true;
+            return Ok(false);
+        };
+        let (id, order) = match &p.nr {
+            REnd::Done { id, order } => (*id, *order),
+            REnd::Core {
+                cluster,
+                slot,
+                order,
+            } => (cluster.id(*slot), *order),
+            // Zero-step Simple plans emit the raw context instances.
+            REnd::Cold { id, .. } => match self.cx.store.checked_fix(id.page) {
+                Some(cluster) => (*id, cluster.node(id.slot).order),
+                None => {
+                    // Error recorded; the executor aborts.
+                    self.done = true;
+                    return Ok(false);
+                }
+            },
+            other => {
+                self.done = true;
+                return Err(ExecError::unexpected_end("plan cursor", other));
+            }
+        };
+        if matches!(self.method, Method::Simple) {
+            // Final duplicate elimination of the Simple method (§5.1).
+            self.cx.charge_set_op();
+            if !self.seen.insert(id) {
+                return Ok(true);
+            }
+        }
+        self.nodes.push((id, order));
+        Ok(true)
+    }
+
+    /// Releases the operator tree (and the pages it pins).
+    pub(crate) fn close(&mut self) {
+        self.done = true;
+        self.plan = None;
+    }
+
+    /// Ends the run: sorts the results into document order if `sort`, and
+    /// returns them with a report of this plan's counters. The caller adds
+    /// the clock, buffer and device deltas.
+    pub(crate) fn finish(mut self, sort: bool) -> (Vec<(NodeId, u64)>, ExecReport) {
+        self.close();
+        if sort {
+            sort_document_order(self.cx.store, &mut self.nodes);
+        }
+        let report = self.cx.report(self.method.label(), self.nodes.len() as u64);
+        (self.nodes, report)
+    }
+}
+
+/// §5.5: reordered evaluation needs a final sort into document order,
+/// charged as `SORT_CMP_NS` per comparison.
+pub(crate) fn sort_document_order(store: &TreeStore, nodes: &mut [(NodeId, u64)]) {
+    let n = nodes.len() as u64;
+    if n > 1 {
+        store
+            .clock()
+            .charge_cpu(SORT_CMP_NS * n * (64 - n.leading_zeros() as u64));
+    }
+    nodes.sort_by_key(|&(_, order)| order);
 }
 
 /// Executes a query (path, count, or sum of counts) from the document root.
@@ -338,22 +413,17 @@ pub fn execute_query(
     cfg: &PlanConfig,
 ) -> Result<QueryRun, ExecError> {
     match query {
-        Query::Path(p) => {
-            let run = execute_path(store, p, cfg)?;
-            Ok(QueryRun {
-                value: run.nodes.len() as u64,
-                nodes: run.nodes,
-                report: run.report,
-            })
-        }
-        Query::Count(p) => {
+        Query::Path(p) | Query::Count(p) => {
             // Counting never needs document order (§5.5).
-            let mut c = *cfg;
-            c.sort = false;
-            let run = execute_path(store, p, &c)?;
+            let count = matches!(query, Query::Count(_));
+            let cfg = PlanConfig {
+                sort: cfg.sort && !count,
+                ..*cfg
+            };
+            let run = execute_path(store, p, &cfg)?;
             Ok(QueryRun {
                 value: run.nodes.len() as u64,
-                nodes: Vec::new(),
+                nodes: if count { Vec::new() } else { run.nodes },
                 report: run.report,
             })
         }

@@ -35,69 +35,6 @@ impl fmt::Display for Diagnostic {
 /// the deliberately I/O-naive baseline).
 const IO_OPERATOR_FILES: &[&str] = &["xschedule.rs", "xscan.rs", "unnest.rs"];
 
-/// Identifiers that indicate physical I/O or storage-layer access.
-const IO_IDENTS: &[&str] = &[
-    "fix",
-    "fix_any_prefetched",
-    "checked_fix",
-    "try_fix",
-    "prefetch",
-    "read_sync",
-    "submit",
-    "poll",
-    "device_mut",
-    "buffer",
-    "pathix_storage",
-    "Device",
-    "BufferManager",
-    "MemDevice",
-    "SimDisk",
-    "FileDevice",
-];
-
-/// Fault-injection API (R6): faults are planted below the shared cache and
-/// must stay there. Only the storage layer, the database facade (which
-/// wires a [`FaultPlan`] under a fresh device), the bench chaos harness,
-/// and tests may name these types — query operators and the tree layer see
-/// faults exclusively as `checked_fix → None`.
-const FAULT_IDENTS: &[&str] = &["FaultDevice", "FaultPlan", "FaultRule", "FaultKind"];
-
-/// Files allowed to reference the fault-injection API (R6).
-fn in_fault_zone(path: &str) -> bool {
-    path.starts_with("crates/storage/")
-        || path.starts_with("crates/bench/")
-        || path == "src/db.rs"
-        || path == "src/lib.rs"
-}
-
-/// Resource-governor API (R7): budgets, cancellation, and admission
-/// control live in the governor zone — the governor module itself, the
-/// context/plan layer that threads budgets to checkpoints, the batch
-/// executor, the error type, the facade, and the harnesses. Operators
-/// never see a budget: they observe only the buffer's interrupt gate at
-/// the declared checkpoint sites (DESIGN §12).
-const GOVERNOR_IDENTS: &[&str] = &[
-    "QueryBudget",
-    "CancelToken",
-    "Deadline",
-    "MemLedger",
-    "AdmissionConfig",
-    "GovernorReport",
-];
-
-/// Files allowed to reference the governor API (R7).
-fn in_governor_zone(path: &str) -> bool {
-    path == "crates/core/src/governor.rs"
-        || path == "crates/core/src/context.rs"
-        || path == "crates/core/src/plan.rs"
-        || path == "crates/core/src/server.rs"
-        || path == "crates/core/src/error.rs"
-        || path == "crates/core/src/lib.rs"
-        || path == "src/db.rs"
-        || path == "src/lib.rs"
-        || path.starts_with("crates/bench/")
-}
-
 /// Operator files that are declared budget checkpoints (R7, DESIGN §12):
 /// the only `ops/` files that may consult the buffer's interrupt gate.
 /// XStep/XAssembly check in their produce loops, XSchedule/XScan at queue
@@ -110,30 +47,6 @@ const CHECKPOINT_FILES: &[&str] = &[
     "unnest.rs",
 ];
 
-/// Identifiers that indicate threading primitives (R5). `Atomic`-prefixed
-/// identifiers (`AtomicU64`, `AtomicUsize`, …) are matched by prefix.
-const CONCURRENCY_IDENTS: &[&str] = &[
-    "thread",
-    "parking_lot",
-    "mpsc",
-    "Mutex",
-    "RwLock",
-    "Condvar",
-];
-
-/// Files allowed to use threading primitives (R5): the storage layer
-/// (shared page cache, file device), the batch-executor module, the
-/// governor (whose cancel tokens and memory ledger are shared across
-/// worker threads by design, DESIGN §12), and the bench harness.
-/// Everything else — the operator hot path above all — stays
-/// single-threaded (DESIGN §10).
-fn in_concurrency_zone(path: &str) -> bool {
-    path.starts_with("crates/storage/")
-        || path == "crates/core/src/server.rs"
-        || path == "crates/core/src/governor.rs"
-        || path.starts_with("crates/bench/")
-}
-
 /// Files whose non-test code must be panic-free (R3): the operator hot
 /// path, the buffer manager, and the navigation primitives.
 fn in_panic_free_zone(path: &str) -> bool {
@@ -143,11 +56,206 @@ fn in_panic_free_zone(path: &str) -> bool {
         || path == "crates/tree/src/nav.rs"
 }
 
-/// Cost-accounting / report files (R2): anything iterating a map here must
-/// use `BTreeMap` so replayed runs print identically.
-fn is_report_file(path: &str) -> bool {
-    let base = path.rsplit('/').next().unwrap_or(path);
-    base == "report.rs" || base == "context.rs"
+/// The file name of a workspace-relative path.
+fn base_name(path: &str) -> &str {
+    path.rsplit('/').next().unwrap_or(path)
+}
+
+/// One "vocabulary confined to a zone" row: the identifiers in `idents` (a
+/// trailing `*` matches by prefix) are banned in every file `applies` to —
+/// in non-test code only, unless `in_tests`.
+struct Confinement {
+    rule: &'static str,
+    idents: &'static [&'static str],
+    applies: fn(&str) -> bool,
+    in_tests: bool,
+    /// `{id}` stands for the offending identifier.
+    message: &'static str,
+}
+
+/// The identifier bans of R1, R2, R5, R6 and R7, in reporting order.
+const CONFINEMENTS: &[Confinement] = &[
+    // R1: physical I/O and storage-layer access stays in the I/O operators.
+    Confinement {
+        rule: "R1",
+        idents: &[
+            "fix",
+            "fix_any_prefetched",
+            "checked_fix",
+            "try_fix",
+            "prefetch",
+            "read_sync",
+            "submit",
+            "poll",
+            "device_mut",
+            "buffer",
+            "pathix_storage",
+            "Device",
+            "BufferManager",
+            "MemDevice",
+            "SimDisk",
+            "FileDevice",
+        ],
+        applies: |p| {
+            p.starts_with("crates/core/src/ops/") && !IO_OPERATOR_FILES.contains(&base_name(p))
+        },
+        in_tests: false,
+        message: "I/O API `{id}` referenced in a navigation-only operator; \
+                  only XSchedule/XScan/UnnestMap perform cluster I/O",
+    },
+    // R2: wall-clock time sources, banned in tests too.
+    Confinement {
+        rule: "R2",
+        idents: &["Instant", "SystemTime"],
+        applies: |p| p != "crates/storage/src/file_device.rs" && !p.starts_with("crates/bench/"),
+        in_tests: true,
+        message: "`{id}` breaks deterministic replay; use the simulated \
+                  clock (SimClock) for all cost accounting",
+    },
+    // R2: ambient randomness.
+    Confinement {
+        rule: "R2",
+        idents: &["rand"],
+        applies: |p| !p.starts_with("crates/xmlgen/") && !p.starts_with("crates/bench/"),
+        in_tests: false,
+        message: "`rand` outside xmlgen/bench/tests; derive randomness \
+                  from explicit seeds (see PlacementRng)",
+    },
+    // R2: anything iterating a map in cost-accounting/report files must
+    // use `BTreeMap` so replayed runs print identically.
+    Confinement {
+        rule: "R2",
+        idents: &["HashMap"],
+        applies: |p| matches!(base_name(p), "report.rs" | "context.rs"),
+        in_tests: false,
+        message: "HashMap iteration order is nondeterministic; use \
+                  BTreeMap in cost-accounting/report code",
+    },
+    // R5: threading primitives only in the storage layer (shared page
+    // cache, file device), the batch-executor module, the governor (whose
+    // cancel tokens and memory ledger are shared across worker threads by
+    // design, DESIGN §12), and the bench harness. Everything else — the
+    // operator hot path above all — stays single-threaded (DESIGN §10).
+    Confinement {
+        rule: "R5",
+        idents: &[
+            "thread",
+            "parking_lot",
+            "mpsc",
+            "Mutex",
+            "RwLock",
+            "Condvar",
+            "Atomic*",
+        ],
+        applies: |p| {
+            !(p.starts_with("crates/storage/")
+                || p == "crates/core/src/server.rs"
+                || p == "crates/core/src/governor.rs"
+                || p.starts_with("crates/bench/"))
+        },
+        in_tests: false,
+        message: "threading primitive `{id}` outside the concurrency zone \
+                  (storage, core/src/server.rs, core/src/governor.rs, \
+                  bench); the operator hot path stays single-threaded",
+    },
+    // R7: budgets, cancellation, and admission control live in the
+    // governor zone — the governor module itself, the context/plan layer
+    // that threads budgets to checkpoints, the batch executor, the error
+    // type, the facade, and the harnesses. Operators never see a budget:
+    // they observe only the buffer's interrupt gate at the declared
+    // checkpoint sites (DESIGN §12).
+    Confinement {
+        rule: "R7",
+        idents: &[
+            "QueryBudget",
+            "CancelToken",
+            "Deadline",
+            "MemLedger",
+            "AdmissionConfig",
+            "GovernorReport",
+        ],
+        applies: |p| {
+            !(matches!(
+                p,
+                "crates/core/src/governor.rs"
+                    | "crates/core/src/context.rs"
+                    | "crates/core/src/plan.rs"
+                    | "crates/core/src/server.rs"
+                    | "crates/core/src/error.rs"
+                    | "crates/core/src/lib.rs"
+                    | "src/db.rs"
+                    | "src/lib.rs"
+            ) || p.starts_with("crates/bench/"))
+        },
+        in_tests: false,
+        message: "governor type `{id}` outside the governor zone \
+                  (core governor/context/plan/server/error/lib, \
+                  src/db.rs, src/lib.rs, bench, tests); operators \
+                  see budgets only through the buffer's interrupt \
+                  gate",
+    },
+    // R7: budget checkpoints — only the declared checkpoint operators may
+    // consult the interrupt gate.
+    Confinement {
+        rule: "R7",
+        idents: &["interrupted"],
+        applies: |p| {
+            p.starts_with("crates/core/src/ops/") && !CHECKPOINT_FILES.contains(&base_name(p))
+        },
+        in_tests: false,
+        message: "interrupt gate consulted outside the declared \
+                  checkpoint operators (xstep/xscan/xschedule/\
+                  xassembly/unnest); see DESIGN §12",
+    },
+    // R7: deadline logic runs on simulated time only.
+    Confinement {
+        rule: "R7",
+        idents: &["Instant", "SystemTime"],
+        applies: |p| p == "crates/core/src/governor.rs",
+        in_tests: false,
+        message: "`{id}` in deadline logic; deadlines are expressed \
+                  in simulated nanoseconds (SimClock) so governed \
+                  runs replay exactly",
+    },
+    // R6: faults are planted below the shared cache and must stay there.
+    // Only the storage layer, the database facade (which wires a
+    // `FaultPlan` under a fresh device), the bench chaos harness, and tests
+    // may name the fault-injection API — query operators and the tree
+    // layer see faults exclusively as `checked_fix → None`.
+    Confinement {
+        rule: "R6",
+        idents: &["FaultDevice", "FaultPlan", "FaultRule", "FaultKind"],
+        applies: |p| {
+            !(p.starts_with("crates/storage/")
+                || p.starts_with("crates/bench/")
+                || p == "src/db.rs"
+                || p == "src/lib.rs")
+        },
+        in_tests: false,
+        message: "fault-injection type `{id}` outside the fault zone \
+                  (storage, src/db.rs, src/lib.rs, bench, tests); faults \
+                  are planted below the shared cache only",
+    },
+    // R6: operators have no error channel — failures travel via
+    // `TreeStore::checked_fix → None` plus the store-recorded error, never
+    // as `ExecError` values inside ops/.
+    Confinement {
+        rule: "R6",
+        idents: &["ExecError"],
+        applies: |p| p.starts_with("crates/core/src/ops/"),
+        in_tests: false,
+        message: "`ExecError` referenced inside an operator; operators \
+                  wind down on checked_fix() == None and the executor \
+                  surfaces the store-recorded error",
+    },
+];
+
+/// Whether `id` matches a [`Confinement`] pattern.
+fn ident_matches(pattern: &str, id: &str) -> bool {
+    match pattern.strip_suffix('*') {
+        Some(prefix) => id.starts_with(prefix),
+        None => pattern == id,
+    }
 }
 
 /// True for files that are test-only by location.
@@ -211,76 +319,29 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
     let mut out: Vec<Diagnostic> = Vec::new();
 
     let is_test = |i: usize| whole_file_test || in_region[i];
-    let base = rel_path.rsplit('/').next().unwrap_or(rel_path);
-
-    let r1_applies =
-        rel_path.starts_with("crates/core/src/ops/") && !IO_OPERATOR_FILES.contains(&base);
-    let r2_time_allowed =
-        rel_path == "crates/storage/src/file_device.rs" || rel_path.starts_with("crates/bench/");
-    let r2_rand_allowed = rel_path.starts_with("crates/xmlgen/")
-        || rel_path.starts_with("crates/bench/")
-        || whole_file_test;
-    let r2_map_applies = is_report_file(rel_path);
+    let confinements: Vec<&Confinement> = CONFINEMENTS
+        .iter()
+        .filter(|c| (c.applies)(rel_path))
+        .collect();
     let r3_applies = in_panic_free_zone(rel_path);
     let r4_pi_applies = rel_path != "crates/core/src/instance.rs";
-    let r5_applies = !in_concurrency_zone(rel_path);
-    let r6_fault_applies = !in_fault_zone(rel_path);
     let r6_ioerr_applies = !rel_path.starts_with("crates/storage/");
-    let r6_exec_applies = rel_path.starts_with("crates/core/src/ops/");
-    let r7_gov_applies = !in_governor_zone(rel_path);
-    let r7_ckpt_applies =
-        rel_path.starts_with("crates/core/src/ops/") && !CHECKPOINT_FILES.contains(&base);
-    let r7_time_applies = rel_path == "crates/core/src/governor.rs";
     let own_crate = crate_of_path(rel_path);
 
     for (i, st) in toks.iter().enumerate() {
         match &st.tok {
             Tok::Ident(id) => {
-                // R1: I/O confinement.
-                if r1_applies && !is_test(i) && IO_IDENTS.contains(&id.as_str()) {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R1",
-                        message: format!(
-                            "I/O API `{id}` referenced in a navigation-only operator; \
-                             only XSchedule/XScan/UnnestMap perform cluster I/O"
-                        ),
-                    });
-                }
-                // R2: wall-clock time sources.
-                if (id == "Instant" || id == "SystemTime") && !r2_time_allowed {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R2",
-                        message: format!(
-                            "`{id}` breaks deterministic replay; use the simulated \
-                             clock (SimClock) for all cost accounting"
-                        ),
-                    });
-                }
-                // R2: ambient randomness.
-                if id == "rand" && !r2_rand_allowed && !is_test(i) {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R2",
-                        message: "`rand` outside xmlgen/bench/tests; derive randomness \
-                                  from explicit seeds (see PlacementRng)"
-                            .to_owned(),
-                    });
-                }
-                // R2: nondeterministic map iteration in report code.
-                if r2_map_applies && !is_test(i) && id == "HashMap" {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R2",
-                        message: "HashMap iteration order is nondeterministic; use \
-                                  BTreeMap in cost-accounting/report code"
-                            .to_owned(),
-                    });
+                for c in &confinements {
+                    if (c.in_tests || !is_test(i))
+                        && c.idents.iter().any(|pat| ident_matches(pat, id))
+                    {
+                        out.push(Diagnostic {
+                            file: rel_path.to_owned(),
+                            line: st.line,
+                            rule: c.rule,
+                            message: c.message.replace("{id}", id),
+                        });
+                    }
                 }
                 // R3: unwrap/expect method calls.
                 if r3_applies
@@ -312,76 +373,6 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         message: format!("`{id}!` in the panic-free zone"),
                     });
                 }
-                // R5: concurrency confinement.
-                if r5_applies
-                    && !is_test(i)
-                    && (CONCURRENCY_IDENTS.contains(&id.as_str()) || id.starts_with("Atomic"))
-                {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R5",
-                        message: format!(
-                            "threading primitive `{id}` outside the concurrency zone \
-                             (storage, core/src/server.rs, core/src/governor.rs, \
-                             bench); the operator hot path stays single-threaded"
-                        ),
-                    });
-                }
-                // R7: governor API confinement.
-                if r7_gov_applies && !is_test(i) && GOVERNOR_IDENTS.contains(&id.as_str()) {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R7",
-                        message: format!(
-                            "governor type `{id}` outside the governor zone \
-                             (core governor/context/plan/server/error/lib, \
-                             src/db.rs, src/lib.rs, bench, tests); operators \
-                             see budgets only through the buffer's interrupt \
-                             gate"
-                        ),
-                    });
-                }
-                // R7: budget checkpoints — only the declared checkpoint
-                // operators may consult the interrupt gate.
-                if r7_ckpt_applies && !is_test(i) && id == "interrupted" {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R7",
-                        message: "interrupt gate consulted outside the declared \
-                                  checkpoint operators (xstep/xscan/xschedule/\
-                                  xassembly/unnest); see DESIGN §12"
-                            .to_owned(),
-                    });
-                }
-                // R7: deadline logic runs on simulated time only.
-                if r7_time_applies && !is_test(i) && (id == "Instant" || id == "SystemTime") {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R7",
-                        message: format!(
-                            "`{id}` in deadline logic; deadlines are expressed \
-                             in simulated nanoseconds (SimClock) so governed \
-                             runs replay exactly"
-                        ),
-                    });
-                }
-                // R6: fault-injection API confinement.
-                if r6_fault_applies && !is_test(i) && FAULT_IDENTS.contains(&id.as_str()) {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R6",
-                        message: format!(
-                            "fault-injection type `{id}` outside the fault zone \
-                             (storage, src/db.rs, src/lib.rs, bench, tests); faults \
-                             are planted below the shared cache only"
-                        ),
-                    });
-                }
                 // R6: `IoError` may only be *constructed* by the storage
                 // layer (device/buffer stack); everyone else consumes it.
                 // `-> IoError {` and `impl IoError {` are not literals.
@@ -398,20 +389,6 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         rule: "R6",
                         message: "IoError built outside the storage layer; only the \
                                   device/buffer stack originates I/O errors"
-                            .to_owned(),
-                    });
-                }
-                // R6: operators have no error channel — failures travel via
-                // `TreeStore::checked_fix → None` plus the store-recorded
-                // error, never as `ExecError` values inside ops/.
-                if r6_exec_applies && !is_test(i) && id == "ExecError" {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R6",
-                        message: "`ExecError` referenced inside an operator; operators \
-                                  wind down on checked_fix() == None and the executor \
-                                  surfaces the store-recorded error"
                             .to_owned(),
                     });
                 }

@@ -32,7 +32,7 @@ fn main() {
     let independent = db
         .run(
             "count(/site//description)+count(/site//annotation)+count(/site//email)",
-            Method::XScan,
+            &PlanConfig::new(Method::XScan),
         )
         .expect("query");
     db.clear_buffers();

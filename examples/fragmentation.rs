@@ -14,7 +14,7 @@
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
 
-use pathix::{Database, DatabaseOptions, Method};
+use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::Placement;
 
 fn main() {
@@ -51,7 +51,9 @@ fn main() {
         for method in [Method::Simple, Method::xschedule(), Method::XScan] {
             db.clear_buffers();
             db.reset_device_stats();
-            let run = db.run("count(/site/regions//item)", method).expect("query");
+            let run = db
+                .run("count(/site/regions//item)", &PlanConfig::new(method))
+                .expect("query");
             times.push(run.report.total_secs());
         }
         println!(

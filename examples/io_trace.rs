@@ -12,7 +12,7 @@
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
 
-use pathix::{Database, DatabaseOptions, Method};
+use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::Placement;
 
 fn main() {
@@ -32,7 +32,9 @@ fn main() {
     for method in [Method::Simple, Method::xschedule(), Method::XScan] {
         db.clear_buffers();
         db.reset_device_stats();
-        let run = db.run("count(//item)", method).expect("query");
+        let run = db
+            .run("count(//item)", &PlanConfig::new(method))
+            .expect("query");
         let trace = db.device_trace();
         println!("{} — {} device reads:", method.label(), trace.len());
         let mut line = String::from("  ");

@@ -8,7 +8,7 @@
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
 
-use pathix::{Database, DatabaseOptions, Method};
+use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 use pathix_tree::Placement;
 
 fn main() {
@@ -43,7 +43,7 @@ fn main() {
     for method in [Method::Simple, Method::xschedule(), Method::XScan] {
         db.clear_buffers();
         db.reset_device_stats();
-        let run = db.run(query, method).expect("query");
+        let run = db.run(query, &PlanConfig::new(method)).expect("query");
         println!("{query} = {} via {}", run.value, method.label());
         println!("{}\n", run.report);
     }
@@ -51,7 +51,7 @@ fn main() {
     // Node-set queries return document-ordered results.
     let mut cfg = pathix::PlanConfig::new(Method::xschedule());
     cfg.sort = true;
-    let titles = db.run_with("//title", &cfg).expect("path");
+    let titles = db.run("//title", &cfg).expect("path");
     println!(
         "//title matched {} nodes (in document order)",
         titles.nodes.len()

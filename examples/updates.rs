@@ -9,7 +9,7 @@
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method};
+use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
 use pathix_storage::{recover, SimClock, WriteAheadLog};
 use pathix_tree::{InsertPos, NewNode, Placement};
 use std::cell::RefCell;
@@ -24,10 +24,14 @@ fn main() {
         ..Default::default()
     };
     let mut db = Database::from_xmark(0.02, &opts).expect("import");
+    let (xscan, xschedule) = (
+        PlanConfig::new(Method::XScan),
+        PlanConfig::new(Method::xschedule()),
+    );
     println!(
         "fresh import: {} pages, count(//item) = {}",
         db.pages(),
-        db.run("count(//item)", Method::XScan).unwrap().value
+        db.run("count(//item)", &xscan).unwrap().value
     );
 
     // --- in-place updates -------------------------------------------------
@@ -64,14 +68,14 @@ fn main() {
         .expect("insert text");
     println!(
         "after insert: count(//freshly_inserted) = {}",
-        db.run("count(//freshly_inserted)", Method::xschedule())
+        db.run("count(//freshly_inserted)", &xschedule)
             .unwrap()
             .value
     );
     db.updater().delete(new_el).expect("delete");
     println!(
         "after delete: count(//freshly_inserted) = {}",
-        db.run("count(//freshly_inserted)", Method::xschedule())
+        db.run("count(//freshly_inserted)", &xschedule)
             .unwrap()
             .value
     );
@@ -103,6 +107,6 @@ fn main() {
     db.clear_buffers();
     println!(
         "count(//durable) = {}",
-        db.run("count(//durable)", Method::XScan).unwrap().value
+        db.run("count(//durable)", &xscan).unwrap().value
     );
 }

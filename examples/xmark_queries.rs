@@ -8,7 +8,7 @@
 // Demo binaries print to stdout and unwrap for brevity.
 #![allow(clippy::unwrap_used, clippy::print_stdout)]
 
-use pathix::{Database, DatabaseOptions, Method};
+use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -48,7 +48,7 @@ fn main() {
         for method in [Method::Simple, Method::xschedule(), Method::XScan] {
             db.clear_buffers();
             db.reset_device_stats();
-            let run = db.run(query, method).expect("query");
+            let run = db.run(query, &PlanConfig::new(method)).expect("query");
             if let Some(v) = base {
                 assert_eq!(v, run.value, "plans must agree");
             }

@@ -2,8 +2,9 @@
 //!
 //! ```text
 //! pathix query  [--scale S | --xml FILE] [--method simple|xschedule|xscan|auto]
-//!               [--placement sequential|chunk|shuffled] [--buffer N] "<query>"
-//! pathix explain [--scale S | --xml FILE] "<path>"
+//!               [--placement sequential|chunk|shuffled] [--buffer N] [--sort]
+//!               "<query>"
+//! pathix explain [--scale S | --xml FILE] "<query>"  # cost estimate of its first path
 //! pathix gen    [--scale S] [--pretty]            # emit an XMark document
 //! pathix info   [--scale S | --xml FILE]          # storage statistics
 //! ```
@@ -99,24 +100,23 @@ fn run() -> Result<(), String> {
         "query" => {
             let query = args.rest.first().ok_or("query: missing query string")?;
             let db = open_db(&args)?;
-            let (method, run) = match pick_method(&args.method)? {
-                Some(m) => {
-                    let mut cfg = PlanConfig::new(m);
-                    cfg.sort = args.sort;
-                    (m, db.run_with(query, &cfg).map_err(|e| e.to_string())?)
-                }
-                None => db.run_auto(query).map_err(|e| e.to_string())?,
+            let method = match pick_method(&args.method)? {
+                Some(m) => m,
+                None => db.estimate(query).map_err(|e| e.to_string())?.recommend(),
             };
+            let mut cfg = PlanConfig::new(method);
+            cfg.sort = args.sort;
+            let run = db.run(query, &cfg).map_err(|e| e.to_string())?;
             println!("result: {}", run.value);
             println!("plan:   {}", method.label());
             println!("{}", run.report);
             Ok(())
         }
         "explain" => {
-            let path = args.rest.first().ok_or("explain: missing path")?;
+            let query = args.rest.first().ok_or("explain: missing query")?;
             let db = open_db(&args)?;
-            let est = db.estimate(path).map_err(|e| e.to_string())?;
-            println!("path:              {path}");
+            let est = db.estimate(query).map_err(|e| e.to_string())?;
+            println!("query:             {query}");
             println!(
                 "touched fraction:  {:.1}% (≈ {:.0} pages of {})",
                 100.0 * est.touched_fraction,

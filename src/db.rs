@@ -70,8 +70,9 @@ pub enum DbError {
     Import(pathix_tree::import::ImportError),
     /// A physical plan broke its output contract during execution.
     Exec(ExecError),
-    /// The operation is not available on this database's device (e.g.
-    /// parallel execution over a device that cannot be forked).
+    /// The operation is not available for this input or on this
+    /// database's device (e.g. parallel execution over a device that cannot
+    /// be forked).
     Unsupported(&'static str),
 }
 
@@ -127,25 +128,7 @@ impl Database {
 
     /// Imports `doc` into a fresh device.
     pub fn from_document(doc: &Document, opts: &DatabaseOptions) -> Result<Self, DbError> {
-        let mut device = Self::fresh_device(opts);
-        let cfg = ImportConfig {
-            page_size: opts.page_size,
-            placement: opts.placement,
-        };
-        let (meta, import_report) = import_into(device.as_mut(), doc, &cfg)?;
-        let store = TreeStore::open(
-            device,
-            meta,
-            BufferParams {
-                capacity: opts.buffer_pages,
-                ..Default::default()
-            },
-            Rc::new(SimClock::new()),
-        );
-        Ok(Self {
-            store,
-            import_report,
-        })
+        Self::import(doc, opts, |device| device)
     }
 
     /// Imports `doc` into a fresh device wrapped in a fault-injection
@@ -159,6 +142,16 @@ impl Database {
         opts: &DatabaseOptions,
         plan: FaultPlan,
     ) -> Result<Self, DbError> {
+        Self::import(doc, opts, |device| Box::new(FaultDevice::new(device, plan)))
+    }
+
+    /// Imports `doc` into a fresh device, then opens the store over
+    /// `query_device(device)`.
+    fn import(
+        doc: &Document,
+        opts: &DatabaseOptions,
+        query_device: impl FnOnce(Box<dyn Device + Send>) -> Box<dyn Device + Send>,
+    ) -> Result<Self, DbError> {
         let mut device = Self::fresh_device(opts);
         let cfg = ImportConfig {
             page_size: opts.page_size,
@@ -166,7 +159,7 @@ impl Database {
         };
         let (meta, import_report) = import_into(device.as_mut(), doc, &cfg)?;
         let store = TreeStore::open(
-            Box::new(FaultDevice::new(device, plan)),
+            query_device(device),
             meta,
             BufferParams {
                 capacity: opts.buffer_pages,
@@ -213,13 +206,9 @@ impl Database {
     }
 
     /// Runs a query string (`/a/b`, `count(...)`, sums of counts) with the
-    /// given method and default plan options.
-    pub fn run(&self, query: &str, method: Method) -> Result<QueryRun, DbError> {
-        self.run_with(query, &PlanConfig::new(method))
-    }
-
-    /// Runs a query string with full plan configuration.
-    pub fn run_with(&self, query: &str, cfg: &PlanConfig) -> Result<QueryRun, DbError> {
+    /// plan configuration `cfg`. For the cost model's choice of method, use
+    /// `PlanConfig::new(db.estimate(query)?.recommend())`.
+    pub fn run(&self, query: &str, cfg: &PlanConfig) -> Result<QueryRun, DbError> {
         let q = parse_query(query)?.rooted();
         Ok(execute_query(&self.store, &q, cfg)?)
     }
@@ -301,25 +290,17 @@ impl Database {
         opt
     }
 
-    /// Cost-model estimate for a path (the outlook's optimizer): per-plan
-    /// cost predictions and the recommended I/O operator.
-    pub fn estimate(&self, path: &str) -> Result<PlanEstimate, DbError> {
-        let p = parse_path(path)?.rooted();
-        Ok(self.optimizer().estimate(&p))
-    }
-
-    /// Runs a query with the method the cost model recommends for its
-    /// (first) path.
-    pub fn run_auto(&self, query: &str) -> Result<(Method, QueryRun), DbError> {
+    /// Cost-model estimate for a query (the outlook's optimizer): per-plan
+    /// cost predictions and the recommended I/O operator, for the query's
+    /// first location path.
+    pub fn estimate(&self, query: &str) -> Result<PlanEstimate, DbError> {
         let q = parse_query(query)?.rooted();
-        let opt = self.optimizer();
-        let method = q
+        let path = q
             .paths()
             .first()
-            .map(|p| opt.choose(p))
-            .unwrap_or(Method::xschedule());
-        let run = execute_query(&self.store, &q, &PlanConfig::new(method))?;
-        Ok((method, run))
+            .copied()
+            .ok_or(DbError::Unsupported("a query without a location path"))?;
+        Ok(self.optimizer().estimate(path))
     }
 
     /// Mutating handle for in-place updates (inserts, deletes, text
@@ -396,9 +377,9 @@ mod tests {
     fn xmark_counts_agree_across_methods() {
         let db = Database::from_xmark(0.02, &mem_opts()).unwrap();
         let q = "count(/site/regions//item)";
-        let a = db.run(q, Method::Simple).unwrap().value;
-        let b = db.run(q, Method::xschedule()).unwrap().value;
-        let c = db.run(q, Method::XScan).unwrap().value;
+        let count = |m| db.run(q, &PlanConfig::new(m)).unwrap().value;
+        let (a, b) = (count(Method::Simple), count(Method::xschedule()));
+        let c = count(Method::XScan);
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert!(a > 0);
@@ -407,7 +388,8 @@ mod tests {
     #[test]
     fn from_xml_roundtrip_query() {
         let db = Database::from_xml("<a><b/><b/><c><b/></c></a>", &mem_opts()).unwrap();
-        let run = db.run("count(//b)", Method::XScan).unwrap();
+        let cfg = PlanConfig::new(Method::XScan);
+        let run = db.run("count(//b)", &cfg).unwrap();
         assert_eq!(run.value, 3);
     }
 
@@ -415,7 +397,7 @@ mod tests {
     fn parse_error_surfaces() {
         let db = Database::from_xml("<a/>", &mem_opts()).unwrap();
         assert!(matches!(
-            db.run("junk", Method::Simple),
+            db.run("junk", &PlanConfig::new(Method::Simple)),
             Err(DbError::Parse(_))
         ));
     }
@@ -425,13 +407,14 @@ mod tests {
         use pathix_storage::{FaultKind, FaultRule};
         let doc = pathix_xmlgen::generate(&pathix_xmlgen::GenConfig::at_scale(0.02));
         let clean = Database::from_document(&doc, &mem_opts()).unwrap();
-        let want = clean.run("count(//email)", Method::Simple).unwrap().value;
+        let cfg = PlanConfig::new(Method::Simple);
+        let want = clean.run("count(//email)", &cfg).unwrap().value;
         let plan = FaultPlan::new(
             0xFA117,
             vec![FaultRule::new(None, FaultKind::TransientRead).times(3)],
         );
         let db = Database::from_document_with_faults(&doc, &mem_opts(), plan).unwrap();
-        let run = db.run("count(//email)", Method::Simple).unwrap();
+        let run = db.run("count(//email)", &cfg).unwrap();
         assert_eq!(run.value, want, "retried reads must not change results");
         assert!(run.report.device.retries >= 3, "retries are counted");
     }
@@ -445,7 +428,7 @@ mod tests {
             vec![FaultRule::new(None, FaultKind::PermanentRead).times(u32::MAX)],
         );
         let db = Database::from_document_with_faults(&doc, &mem_opts(), plan).unwrap();
-        match db.run("count(//email)", Method::xschedule()) {
+        match db.run("count(//email)", &PlanConfig::new(Method::xschedule())) {
             Err(DbError::Exec(ExecError::Io { attempts, .. })) => {
                 assert!(attempts >= 1);
             }
@@ -464,7 +447,7 @@ mod tests {
             vec![FaultRule::new(None, FaultKind::CorruptRead).times(u32::MAX)],
         );
         let db = Database::from_document_with_faults(&doc, &mem_opts(), plan).unwrap();
-        match db.run("count(//email)", Method::Simple) {
+        match db.run("count(//email)", &PlanConfig::new(Method::Simple)) {
             Err(DbError::Exec(ExecError::Io { .. })) => {}
             other => panic!("torn pages must not decode, got {other:?}"),
         }
@@ -497,7 +480,8 @@ mod tests {
             ..Default::default()
         };
         let db = Database::from_xmark(0.02, &opts).unwrap();
-        let run = db.run("count(//email)", Method::Simple).unwrap();
+        let cfg = PlanConfig::new(Method::Simple);
+        let run = db.run("count(//email)", &cfg).unwrap();
         assert!(run.report.time.total_ns > 0);
         assert!(run.report.time.io_wait_ns > 0);
     }

@@ -25,18 +25,22 @@
 //! ## Quickstart
 //!
 //! ```
-//! use pathix::{Database, DatabaseOptions, Method};
+//! use pathix::{Database, DatabaseOptions, Method, PlanConfig};
 //!
 //! // An XMark-like auction document at scaling factor 0.05.
 //! let db = Database::from_xmark(0.05, &DatabaseOptions::default()).unwrap();
 //!
 //! // Evaluate XMark Q6' with all three plans of the paper.
 //! let q = "count(/site/regions//item)";
-//! let simple = db.run(q, Method::Simple).unwrap();
-//! let sched = db.run(q, Method::xschedule()).unwrap();
-//! let scan = db.run(q, Method::XScan).unwrap();
+//! let simple = db.run(q, &PlanConfig::new(Method::Simple)).unwrap();
+//! let sched = db.run(q, &PlanConfig::new(Method::xschedule())).unwrap();
+//! let scan = db.run(q, &PlanConfig::new(Method::XScan)).unwrap();
 //! assert_eq!(simple.value, sched.value);
 //! assert_eq!(simple.value, scan.value);
+//!
+//! // Let the cost model pick the I/O operator.
+//! let auto = PlanConfig::new(db.estimate(q).unwrap().recommend());
+//! assert_eq!(db.run(q, &auto).unwrap().value, scan.value);
 //! println!("{}", sched.report);
 //! ```
 

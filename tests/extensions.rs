@@ -36,7 +36,7 @@ fn shared_scan_agrees_with_independent_plans() {
     cfg.sort = true;
     let multi = db.run_multi(&paths, &cfg).unwrap();
     for (i, p) in paths.iter().enumerate() {
-        let single = db.run_with(p, &cfg).unwrap();
+        let single = db.run(p, &cfg).unwrap();
         assert_eq!(multi.per_path[i], single.nodes, "path {p}");
     }
     // One scan total.
@@ -106,9 +106,15 @@ fn optimizer_recommendations_and_auto_run() {
         )
         .unwrap();
     assert_eq!(q15_est.recommend().label(), "XSchedule");
-    // run_auto agrees with a manual run of the chosen method.
-    let (method, auto) = db.run_auto("count(/site//description)").unwrap();
-    let manual = db.run("count(/site//description)", method).unwrap();
+    // Auto is the estimate's recommendation for the query's first path,
+    // and it agrees with a run of the other method.
+    let query = "count(/site//description)";
+    let method = db.estimate(query).unwrap().recommend();
+    assert_eq!(method, q7_est.recommend());
+    let auto = db.run(query, &PlanConfig::new(method)).unwrap();
+    let manual = db
+        .run(query, &PlanConfig::new(Method::xschedule()))
+        .unwrap();
     assert_eq!(auto.value, manual.value);
 }
 

@@ -69,7 +69,7 @@ fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
             .map(|(p, m)| {
                 let mut item_cfg = cfg;
                 item_cfg.method = *m;
-                db.run_with(p, &item_cfg).expect("clean run").nodes
+                db.run(p, &item_cfg).expect("clean run").nodes
             })
             .collect::<Vec<_>>();
         assert!(reference.iter().any(|nodes| !nodes.is_empty()));

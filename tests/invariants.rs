@@ -32,7 +32,8 @@ fn xscan_single_visit_in_physical_order() {
     db.trace_device(true);
     db.clear_buffers();
     db.reset_device_stats();
-    let _ = db.run("count(//description)", Method::XScan).unwrap();
+    let cfg = PlanConfig::new(Method::XScan);
+    let _ = db.run("count(//description)", &cfg).unwrap();
     let trace = db.device_trace();
     let expected: Vec<u32> = db.store().meta.page_range().collect();
     assert_eq!(trace, expected);
@@ -53,10 +54,10 @@ fn speculative_xschedule_never_rereads() {
         let _ = db
             .run(
                 q,
-                Method::XSchedule {
+                &PlanConfig::new(Method::XSchedule {
                     k: 100,
                     speculative: true,
-                },
+                }),
             )
             .unwrap();
         let trace = db.device_trace();
@@ -79,7 +80,8 @@ fn xscan_fix_count_equals_page_count() {
     let db = db(0.04, Placement::Sequential);
     db.clear_buffers();
     db.reset_device_stats();
-    let _ = db.run("count(//email)", Method::XScan).unwrap();
+    let cfg = PlanConfig::new(Method::XScan);
+    let _ = db.run("count(//email)", &cfg).unwrap();
     let stats = db.store().buffer.stats();
     assert_eq!(stats.fixes, db.pages() as u64);
     assert_eq!(stats.misses, db.pages() as u64);
@@ -94,7 +96,7 @@ fn duplicate_heavy_path_is_deduplicated() {
     // ancestor-or-self from every node: each ancestor reached many times.
     let mut cfg = PlanConfig::new(Method::XScan);
     cfg.sort = true;
-    let run = db.run_with("//keyword/ancestor-or-self::*", &cfg).unwrap();
+    let run = db.run("//keyword/ancestor-or-self::*", &cfg).unwrap();
     let mut ids: Vec<_> = run.nodes.iter().map(|&(id, _)| id).collect();
     let n = ids.len();
     ids.sort_unstable();
@@ -176,7 +178,7 @@ fn slash_slash_optimization_equivalent() {
     plain.normalize = true;
     let mut opt = PlanConfig::new(Method::XScan);
     opt.normalize = false;
-    let a = db.run_with("//keyword", &plain).unwrap().nodes.len();
-    let b = db.run_with("//keyword", &opt).unwrap().nodes.len();
+    let a = db.run("//keyword", &plain).unwrap().nodes.len();
+    let b = db.run("//keyword", &opt).unwrap().nodes.len();
     assert_eq!(a, b);
 }

@@ -68,7 +68,7 @@ fn parallel_is_bit_identical_to_sequential_for_any_worker_count() {
         .map(|(p, m)| {
             let mut item_cfg = cfg;
             item_cfg.method = *m;
-            db.run_with(p, &item_cfg).unwrap().nodes
+            db.run(p, &item_cfg).unwrap().nodes
         })
         .collect();
     // The corpus is non-trivial: every path matches something.
@@ -131,7 +131,7 @@ fn mem_device_and_excess_workers() {
     let db = Database::from_xmark(0.012, &opts).unwrap();
     let work = [("/site/regions//item", Method::xschedule())];
     let cfg = sorted_cfg();
-    let want = db.run_with(work[0].0, &{
+    let want = db.run(work[0].0, &{
         let mut c = cfg;
         c.method = work[0].1;
         c
@@ -162,7 +162,7 @@ fn admission_caps_alone_shed_the_tail_over_the_shared_cache() {
         if i < admitted {
             let mut item_cfg = cfg;
             item_cfg.method = work[i].1;
-            let want = db.run_with(work[i].0, &item_cfg).unwrap().nodes;
+            let want = db.run(work[i].0, &item_cfg).unwrap().nodes;
             assert_eq!(run.as_ref().expect("admitted item answers").nodes, want);
         } else {
             assert!(

@@ -5,7 +5,7 @@
 // Tests may panic freely; the unwrap ban guards the hot path (see R3).
 #![allow(clippy::unwrap_used)]
 
-use pathix::{Database, DatabaseOptions, DeviceKind, Method};
+use pathix::{Database, DatabaseOptions, DeviceKind, Method, PlanConfig};
 use pathix_storage::{BufferParams, FileDevice, SimClock};
 use pathix_tree::{import_into, ImportConfig, Placement, TreeStore};
 use std::rc::Rc;
@@ -66,7 +66,8 @@ fn simulated_runs_are_deterministic() {
         .unwrap();
         db.clear_buffers();
         db.reset_device_stats();
-        let r = db.run("count(//description)", Method::xschedule()).unwrap();
+        let cfg = PlanConfig::new(Method::xschedule());
+        let r = db.run("count(//description)", &cfg).unwrap();
         (r.value, r.report.time, r.report.device, r.report.buffer)
     };
     let a = run_once();
@@ -95,20 +96,17 @@ fn fifo_device_not_faster_for_xschedule() {
     };
     let sstf = mk(DeviceKind::SimDisk);
     let fifo = mk(DeviceKind::SimDiskFifo);
-    let q = "count(/site/regions//item)";
+    let (q, cfg) = (
+        "count(/site/regions//item)",
+        PlanConfig::new(Method::xschedule()),
+    );
     let t_sstf = {
         sstf.clear_buffers();
-        sstf.run(q, Method::xschedule())
-            .unwrap()
-            .report
-            .total_secs()
+        sstf.run(q, &cfg).unwrap().report.total_secs()
     };
     let t_fifo = {
         fifo.clear_buffers();
-        fifo.run(q, Method::xschedule())
-            .unwrap()
-            .report
-            .total_secs()
+        fifo.run(q, &cfg).unwrap().report.total_secs()
     };
     assert!(
         t_sstf <= t_fifo * 1.001,
@@ -134,7 +132,8 @@ fn buffer_capacity_sweep_consistent() {
             },
         )
         .unwrap();
-        let run = db.run("count(//description)", Method::Simple).unwrap();
+        let cfg = PlanConfig::new(Method::Simple);
+        let run = db.run("count(//description)", &cfg).unwrap();
         if let Some(prev) = last {
             assert_eq!(run.value, prev);
         }

@@ -114,7 +114,7 @@ fn queries_stay_correct_after_random_updates() {
         for m in [Method::Simple, Method::xschedule(), Method::XScan] {
             let mut cfg = PlanConfig::new(m);
             cfg.sort = true;
-            let run = db.run_with(q, &cfg).unwrap();
+            let run = db.run(q, &cfg).unwrap();
             assert_eq!(run.nodes.len(), want, "{q} via {m:?} after updates");
             // Document order is preserved by the gapped keys.
             assert!(run.nodes.windows(2).all(|w| w[0].1 < w[1].1));
@@ -176,7 +176,9 @@ fn updates_fragment_the_layout() {
         "updates must allocate overflow pages"
     );
     // Still answers correctly.
-    let run = db.run("count(//item)", Method::XScan).unwrap();
+    let run = db
+        .run("count(//item)", &PlanConfig::new(Method::XScan))
+        .unwrap();
     let want = pathix_xpath::eval_query(
         &doc,
         doc.root(),

@@ -45,7 +45,7 @@ fn all_queries_all_methods_match_reference() {
             },
             Method::XScan,
         ] {
-            let got = db.run(q, method).unwrap().value;
+            let got = db.run(q, &PlanConfig::new(method)).unwrap().value;
             assert_eq!(got, want, "query {q} via {method:?}");
         }
     }
@@ -64,7 +64,7 @@ fn placement_does_not_change_answers() {
         let db = Database::from_document(&doc, &opts(placement)).unwrap();
         let row: Vec<u64> = QUERIES
             .iter()
-            .map(|q| db.run(q, Method::XScan).unwrap().value)
+            .map(|q| db.run(q, &PlanConfig::new(Method::XScan)).unwrap().value)
             .collect();
         answers.push(row);
     }
@@ -81,9 +81,10 @@ fn page_size_does_not_change_answers() {
         let mut o = opts(Placement::Shuffled { seed: 4 });
         o.page_size = page_size;
         let db = Database::from_document(&doc, &o).unwrap();
+        let cfg = PlanConfig::new(Method::xschedule());
         let row: Vec<u64> = QUERIES
             .iter()
-            .map(|q| db.run(q, Method::xschedule()).unwrap().value)
+            .map(|q| db.run(q, &cfg).unwrap().value)
             .collect();
         if let Some(prev) = &last {
             assert_eq!(&row, prev, "page size {page_size}");
@@ -98,10 +99,10 @@ fn document_order_is_stable_across_plans() {
     let db = Database::from_document(&doc, &opts(Placement::Shuffled { seed: 11 })).unwrap();
     let mut cfg = PlanConfig::new(Method::XScan);
     cfg.sort = true;
-    let scan = db.run_with("/site/regions//item/name", &cfg).unwrap();
+    let scan = db.run("/site/regions//item/name", &cfg).unwrap();
     let mut cfg2 = PlanConfig::new(Method::Simple);
     cfg2.sort = true;
-    let simple = db.run_with("/site/regions//item/name", &cfg2).unwrap();
+    let simple = db.run("/site/regions//item/name", &cfg2).unwrap();
     assert_eq!(scan.nodes, simple.nodes);
     // Orders strictly increase — document order, duplicate free.
     assert!(scan.nodes.windows(2).all(|w| w[0].1 < w[1].1));
@@ -114,8 +115,9 @@ fn generated_corpus_statistics_are_sane() {
     // Every closed auction and item carries a description.
     assert!(s.descriptions >= s.items + s.closed_auctions);
     let db = Database::from_document(&doc, &opts(Placement::Sequential)).unwrap();
-    let items = db.run("count(/site/regions//item)", Method::XScan).unwrap();
+    let cfg = PlanConfig::new(Method::XScan);
+    let items = db.run("count(/site/regions//item)", &cfg).unwrap();
     assert_eq!(items.value as usize, s.items);
-    let emails = db.run("count(/site//email)", Method::XScan).unwrap();
+    let emails = db.run("count(/site//email)", &cfg).unwrap();
     assert_eq!(emails.value as usize, s.emails);
 }
