@@ -17,19 +17,15 @@
 #   7. perfbench tests        — the repository benchmark (a separate
 #      package under perfbench/) still builds against the engine API
 #      and passes its own tests
-#   8. report throughput --fast — throughput smoke (instant disk profile,
-#      small document; does not overwrite BENCH_PR2.json)
-#   9. report scaling --fast  — parallel batch smoke (2 workers, instant
-#      profile; cross-checks parallel == sequential and zero page copies;
-#      does not overwrite BENCH_PR3.json)
-#  10. report chaos --fast    — fault-injection smoke (every chaos
-#      scenario at reduced scale: transient storms heal, permanent
-#      faults abort cleanly, zero wrong answers; does not overwrite
-#      BENCH_PR4.json)
-#  11. report overload --fast — admission-control smoke (open-loop
-#      ramp at reduced scale: deterministic shedding, zero wrong
-#      answers, p99 sim-latency bounded by the hard deadline; does
-#      not overwrite BENCH_PR5.json)
+#   8. report throughput scaling chaos overload --fast — the four engine
+#      harness smokes (small documents, instant disk profile, no latency
+#      pacing, no BENCH_PRn.json written), each gated on every acceptance
+#      check in its artifact: queue outcomes agree and zero page copies
+#      (throughput); parallel == sequential and zero page copies
+#      (scaling); every fault scenario passes, zero wrong answers
+#      (chaos); deterministic shedding of exactly the over-capacity tail,
+#      zero wrong answers, p99 sim-latency bounded by the hard deadline
+#      (overload)
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -54,16 +50,7 @@ cargo bench --no-run --workspace
 echo "==> perfbench tests"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-echo "==> throughput smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- throughput --fast
-
-echo "==> parallel batch smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- scaling --fast
-
-echo "==> chaos smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- chaos --fast
-
-echo "==> overload smoke (fast mode)"
-cargo run -q --release -p pathix-bench --bin report -- overload --fast
+echo "==> engine harness smokes (fast mode)"
+cargo run -q --release -p pathix-bench --bin report -- throughput scaling chaos overload --fast
 
 echo "ci: all gates passed"

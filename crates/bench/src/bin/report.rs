@@ -4,27 +4,37 @@
 //! report [--sf-max N] [--factors a,b,c] [--fast] <experiment>...
 //! experiments: tab2 fig9 fig10 fig11 tab3 example1
 //!              ablation-k ablation-frag ablation-spec ablation-fallback
-//!              ablation-buffer ablation-device all
-//!              throughput   (not part of `all`; writes BENCH_PR2.json —
-//!                            with --fast: small doc, instant disk profile,
-//!                            no artifact written)
-//!              scaling      (not part of `all`; writes BENCH_PR3.json —
-//!                            with --fast: 2 workers, small doc, instant
-//!                            disk profile, no artifact written)
-//!              chaos        (not part of `all`; writes BENCH_PR4.json —
-//!                            with --fast: small doc, instant disk
-//!                            profile, fewer fuzz trials, no artifact)
-//!              overload     (not part of `all`; writes BENCH_PR5.json —
-//!                            with --fast: small doc, instant disk
-//!                            profile, short ramp, no artifact)
+//!              ablation-buffer ablation-device
+//!              ext-shared-scan ext-export ext-optimizer ext-concurrent
+//!              ext-aging all
+//! harnesses (not part of `all`):
+//!              throughput (BENCH_PR2)  scaling (BENCH_PR3)
+//!              chaos (BENCH_PR4)       overload (BENCH_PR5)
 //! ```
+//!
+//! Each harness builds one [`Artifact`], prints it, and exits non-zero
+//! naming every acceptance check that failed (every false `Bool` in the
+//! artifact). A passing full run writes `<name>.json` to the working
+//! directory; `--fast` runs the harness's small CI configuration and
+//! writes nothing.
 
 // Stdout is this binary's output channel.
 #![allow(clippy::print_stdout)]
 
+use pathix_bench::artifact::Artifact;
 use pathix_bench::table::{ratio, render, secs};
-use pathix_bench::throughput::{emit_json, engine_sweep, micro_sweep, DEPTHS, MICRO_PENDING};
 use pathix_bench::*;
+
+/// An engine harness: `fast` picks its CI smoke configuration.
+type Harness = fn(bool) -> Artifact;
+
+/// The engine harnesses, by command-line name.
+const HARNESSES: [(&str, Harness); 4] = [
+    ("throughput", throughput::artifact),
+    ("scaling", scaling::artifact),
+    ("chaos", chaos::artifact),
+    ("overload", overload::artifact),
+];
 
 fn fig(query_label: &str, query: &str, factors: &[f64]) {
     println!("== {query_label}: total execution time vs XMark scaling factor ==");
@@ -110,290 +120,6 @@ fn example1_report() {
         );
     }
     println!();
-}
-
-fn throughput_report(fast: bool) {
-    let (pending, depths, scale) = if fast {
-        (512, &DEPTHS[..3], 0.02)
-    } else {
-        (MICRO_PENDING, &DEPTHS[..], 0.25)
-    };
-    println!("== Throughput: indexed command queue vs naive alloc+sort (wall clock) ==");
-    let micro = micro_sweep(pending, depths);
-    let rows: Vec<Vec<String>> = micro
-        .iter()
-        .map(|r| {
-            vec![
-                r.depth.to_string(),
-                r.pending.to_string(),
-                format!("{:.3}", r.naive_ms),
-                format!("{:.3}", r.indexed_ms),
-                format!("{:.2}x", r.speedup),
-                r.agree.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "depth",
-                "pending",
-                "naive[ms]",
-                "indexed[ms]",
-                "speedup",
-                "agree"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "== Throughput: engine pages/s and result-nodes/s per queue depth (Q6', wall clock) =="
-    );
-    let engine = engine_sweep(scale, depths, fast);
-    let rows: Vec<Vec<String>> = engine
-        .iter()
-        .map(|r| {
-            vec![
-                r.method.clone(),
-                r.depth.to_string(),
-                format!("{:.1}", r.wall_ms),
-                r.pages_read.to_string(),
-                format!("{:.0}", r.pages_per_s),
-                format!("{:.0}", r.nodes_per_s),
-                secs(r.sim_total_s),
-                r.page_copies.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "plan",
-                "depth",
-                "wall[ms]",
-                "pages",
-                "pages/s",
-                "nodes/s",
-                "sim[s]",
-                "page copies"
-            ],
-            &rows
-        )
-    );
-    if fast {
-        println!("(fast mode: BENCH_PR2.json not written)");
-    } else {
-        let json = emit_json(scale, &micro, &engine);
-        std::fs::write("BENCH_PR2.json", json).expect("write BENCH_PR2.json");
-        println!("wrote BENCH_PR2.json");
-    }
-}
-
-fn scaling_report(fast: bool) {
-    let (workers, scale): (&[usize], f64) = if fast {
-        (&[1, 2], 0.02)
-    } else {
-        (&pathix_bench::scaling::WORKER_COUNTS[..], 0.1)
-    };
-    println!("== Scaling: parallel batch over a shared page cache (wall clock) ==");
-    println!(
-        "   batch: Q6'/Q7/Q15-style paths x Simple/XSchedule/XScan{}",
-        if fast {
-            " (fast: instant disk profile, no latency pacing)"
-        } else {
-            ""
-        }
-    );
-    let rows = pathix_bench::scaling::scaling_sweep(scale, workers, fast);
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                r.items.to_string(),
-                format!("{:.1}", r.wall_ms),
-                format!("{:.2}", r.items_per_s),
-                format!("{:.2}x", r.speedup),
-                r.identical.to_string(),
-                r.page_copies.to_string(),
-                r.device_reads.to_string(),
-                r.cache.hits.to_string(),
-                r.cache.misses.to_string(),
-                r.cache.single_flight_waits.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "workers",
-                "items",
-                "wall[ms]",
-                "items/s",
-                "speedup",
-                "identical",
-                "page copies",
-                "dev reads",
-                "cache hits",
-                "cache misses",
-                "sf waits"
-            ],
-            &table_rows
-        )
-    );
-    assert!(
-        rows.iter().all(|r| r.identical),
-        "parallel results diverged from sequential execution"
-    );
-    assert!(
-        rows.iter().all(|r| r.page_copies == 0),
-        "shared-cache read path copied pages"
-    );
-    if fast {
-        println!("(fast mode: BENCH_PR3.json not written)");
-    } else {
-        let json = pathix_bench::scaling::emit_json(scale, &rows);
-        std::fs::write("BENCH_PR3.json", json).expect("write BENCH_PR3.json");
-        println!("wrote BENCH_PR3.json");
-    }
-}
-
-fn chaos_report(fast: bool) {
-    println!("== Chaos: fault injection over the mixed query corpus ==");
-    if fast {
-        println!("   (fast: small doc, instant disk profile, reduced fuzz trials)");
-    }
-    let (scale, rows) = pathix_bench::chaos::chaos_sweep(fast);
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.scenario.to_string(),
-                r.queries.to_string(),
-                r.tally.ok_identical.to_string(),
-                r.tally.clean_io_aborts.to_string(),
-                r.tally.wrong.to_string(),
-                r.retries.to_string(),
-                r.faults_injected.to_string(),
-                r.pass.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "scenario",
-                "queries",
-                "ok identical",
-                "clean Io aborts",
-                "wrong",
-                "retries",
-                "faults",
-                "pass"
-            ],
-            &table_rows
-        )
-    );
-    assert!(
-        rows.iter().all(|r| r.tally.wrong == 0),
-        "chaos sweep produced wrong answers"
-    );
-    assert!(
-        rows.iter().all(|r| r.pass),
-        "a chaos scenario failed its acceptance condition"
-    );
-    if fast {
-        println!("(fast mode: BENCH_PR4.json not written)");
-    } else {
-        let json = pathix_bench::chaos::emit_json(scale, &rows);
-        std::fs::write("BENCH_PR4.json", json).expect("write BENCH_PR4.json");
-        println!("wrote BENCH_PR4.json");
-    }
-}
-
-fn overload_report(fast: bool) {
-    let (scale, multiples): (f64, &[u32]) = if fast {
-        (0.01, &[1, 4])
-    } else {
-        (0.05, &pathix_bench::overload::RATE_MULTIPLES[..])
-    };
-    println!("== Overload: governed batch under an open-loop arrival ramp ==");
-    println!(
-        "   batch: Q6'/Q7/Q15-style paths x Simple/XSchedule/XScan{}",
-        if fast {
-            " (fast: instant disk profile, no latency pacing)"
-        } else {
-            ""
-        }
-    );
-    let (rows, deterministic) = pathix_bench::overload::overload_sweep(scale, multiples, fast);
-    let table_rows: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{}x", r.multiple),
-                r.offered.to_string(),
-                r.admitted_cap.to_string(),
-                r.admitted.to_string(),
-                r.shed.to_string(),
-                r.degraded.to_string(),
-                r.deadline_aborted.to_string(),
-                r.wrong.to_string(),
-                format!("{:.3}", r.p50_sim_ms),
-                format!("{:.3}", r.p99_sim_ms),
-                format!("{:.3}", r.hard_deadline_ms),
-                format!("{:.1}", r.wall_ms),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render(
-            &[
-                "rate",
-                "offered",
-                "cap",
-                "admitted",
-                "shed",
-                "degraded",
-                "aborted",
-                "wrong",
-                "p50 sim[ms]",
-                "p99 sim[ms]",
-                "hard dl[ms]",
-                "wall[ms]"
-            ],
-            &table_rows
-        )
-    );
-    assert!(
-        deterministic,
-        "overload ramp outcomes changed between passes"
-    );
-    assert!(
-        rows.iter().all(|r| r.wrong == 0),
-        "an admitted item answered wrongly under overload"
-    );
-    assert!(
-        rows.iter().filter(|r| r.multiple >= 4).all(|r| r.shed > 0),
-        "no shedding at 4x the sustainable rate"
-    );
-    assert!(
-        rows.iter()
-            .all(|r| r.p99_sim_ms <= 2.0 * r.hard_deadline_ms),
-        "p99 sim-latency escaped the hard-deadline bound"
-    );
-    if fast {
-        println!("(fast mode: BENCH_PR5.json not written)");
-    } else {
-        let json = pathix_bench::overload::emit_json(scale, &rows, deterministic);
-        std::fs::write("BENCH_PR5.json", json).expect("write BENCH_PR5.json");
-        println!("wrote BENCH_PR5.json");
-    }
 }
 
 fn main() {
@@ -604,20 +330,25 @@ fn main() {
             .collect();
         println!("{}", render(&["device", "total[s]"], &rows));
     }
-    // Not part of `all`: measures the substrate, not the paper's figures.
-    if wanted.iter().any(|w| w == "throughput") {
-        throughput_report(fast);
-    }
-    // Not part of `all`: wall-clock thread scaling of the batch executor.
-    if wanted.iter().any(|w| w == "scaling") {
-        scaling_report(fast);
-    }
-    // Not part of `all`: fault-injection robustness sweep.
-    if wanted.iter().any(|w| w == "chaos") {
-        chaos_report(fast);
-    }
-    // Not part of `all`: admission control + deadlines under overload.
-    if wanted.iter().any(|w| w == "overload") {
-        overload_report(fast);
+    // Not part of `all`: the engine harnesses measure the substrate, not
+    // the paper's figures.
+    for (name, artifact) in HARNESSES {
+        if !wanted.iter().any(|w| w == name) {
+            continue;
+        }
+        let a = artifact(fast);
+        println!("{a}");
+        let failed = a.failed();
+        if !failed.is_empty() {
+            eprintln!("{name}: failed checks: {}", failed.join(", "));
+            std::process::exit(1);
+        }
+        if fast {
+            println!("(fast mode: {}.json not written)", a.name);
+        } else {
+            let file = format!("{}.json", a.name);
+            std::fs::write(&file, a.to_json()).expect("write the artifact");
+            println!("wrote {file}");
+        }
     }
 }

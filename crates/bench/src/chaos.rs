@@ -15,40 +15,30 @@
 //! * in a **parallel batch** over per-worker device forks, a bad page
 //!   takes down exactly the items that touch it.
 //!
-//! `report chaos` emits the `BENCH_PR4.json` artifact; `--fast` runs a
-//! smaller sweep on an instant disk profile as a CI smoke.
+//! The corpus is the scaling harness's mixed batch ([`batch_work`]): every
+//! Q6'/Q7/Q15 shape under every method, so faults hit synchronous fixes,
+//! asynchronous completions, and sequential scans alike. [`artifact`]
+//! gathers the sweep as the `BENCH_PR4` artifact; `--fast` runs a smaller
+//! sweep on an instant disk profile as a CI smoke.
 
-use crate::bench_options;
+use crate::artifact::{Artifact, Cells, Value};
+use crate::scaling::{batch_paths, batch_work};
+use crate::{harness_options, sequential_reference, sorted_cfg};
 use pathix::{
     AdmissionConfig, Database, DatabaseOptions, DbError, ExecError, FaultKind, FaultPlan,
-    FaultRule, Method, PlanConfig,
+    FaultRule, Method, QueryRun,
 };
-use pathix_storage::DiskProfile;
-use pathix_tree::NodeId;
-
-/// The chaos corpus: the scaling harness's mixed batch — every Q6'/Q7/Q15
-/// shape under every method, so faults hit synchronous fixes, asynchronous
-/// completions, and sequential scans alike.
-pub fn chaos_work() -> Vec<(&'static str, Method)> {
-    crate::scaling::batch_work()
-}
-
-fn sorted_cfg() -> PlanConfig {
-    let mut cfg = PlanConfig::new(Method::Simple);
-    cfg.sort = true;
-    cfg
-}
 
 /// Outcome tally of running the corpus once against one fault plan.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Tally {
+struct Tally {
     /// Queries that completed with exactly the oracle's result.
-    pub ok_identical: u64,
+    ok_identical: u64,
     /// Queries that aborted cleanly with `ExecError::Io`.
-    pub clean_io_aborts: u64,
+    clean_io_aborts: u64,
     /// Queries that completed with a result differing from the oracle, or
     /// failed with anything other than a clean I/O abort. Must stay 0.
-    pub wrong: u64,
+    wrong: u64,
 }
 
 impl Tally {
@@ -60,50 +50,45 @@ impl Tally {
 }
 
 /// One scenario's row in the report.
-#[derive(Debug, Clone)]
-pub struct ChaosRow {
+struct ChaosRow {
     /// Scenario label.
-    pub scenario: &'static str,
+    scenario: &'static str,
     /// Queries executed.
-    pub queries: u64,
+    queries: u64,
     /// Outcome tally against the oracle.
-    pub tally: Tally,
+    tally: Tally,
     /// Device-level read retries performed while the scenario ran.
-    pub retries: u64,
+    retries: u64,
     /// Faults the plan actually injected.
-    pub faults_injected: u64,
+    faults_injected: u64,
     /// Whether the scenario met its acceptance condition.
-    pub pass: bool,
+    pass: bool,
 }
 
-/// Sequential oracle results on a fault-free database.
-fn oracle(db: &Database, work: &[(&'static str, Method)]) -> Vec<Vec<(NodeId, u64)>> {
-    let cfg = sorted_cfg();
-    work.iter()
-        .map(|(p, m)| {
-            let mut item_cfg = cfg;
-            item_cfg.method = *m;
-            db.run(p, &item_cfg).expect("oracle run").nodes
-        })
-        .collect()
+impl ChaosRow {
+    fn cells(&self) -> Cells {
+        vec![
+            ("scenario", self.scenario.into()),
+            ("queries", self.queries.into()),
+            ("ok_identical", self.tally.ok_identical.into()),
+            ("clean_io_aborts", self.tally.clean_io_aborts.into()),
+            ("wrong", self.tally.wrong.into()),
+            ("retries", self.retries.into()),
+            ("faults_injected", self.faults_injected.into()),
+            ("pass", self.pass.into()),
+        ]
+    }
 }
 
 /// Runs the corpus once on `db` and tallies outcomes against `reference`.
-fn run_corpus(
-    db: &Database,
-    work: &[(&'static str, Method)],
-    reference: &[Vec<(NodeId, u64)>],
-) -> Tally {
-    let cfg = sorted_cfg();
+fn run_corpus(db: &Database, work: &[(&'static str, Method)], reference: &[QueryRun]) -> Tally {
     let mut tally = Tally::default();
     for (i, (p, m)) in work.iter().enumerate() {
-        let mut item_cfg = cfg;
-        item_cfg.method = *m;
         // Cold-start every query: device traffic, not buffer luck, decides
         // how much of the fault schedule each query is exposed to.
         db.clear_buffers();
-        match db.run(p, &item_cfg) {
-            Ok(run) if run.nodes == reference[i] => tally.ok_identical += 1,
+        match db.run(p, &sorted_cfg(*m)) {
+            Ok(run) if run.nodes == reference[i].nodes => tally.ok_identical += 1,
             Ok(_) => tally.wrong += 1,
             Err(DbError::Exec(ExecError::Io { .. })) => tally.clean_io_aborts += 1,
             Err(_) => tally.wrong += 1,
@@ -126,7 +111,7 @@ fn retries_of(db: &Database) -> u64 {
 fn transient_storm(
     doc: &pathix::xml::Document,
     opts: &DatabaseOptions,
-    reference: &[Vec<(NodeId, u64)>],
+    reference: &[QueryRun],
     work: &[(&'static str, Method)],
     bursts: u32,
 ) -> ChaosRow {
@@ -164,7 +149,7 @@ fn transient_storm(
 fn corruption_healed(
     doc: &pathix::xml::Document,
     opts: &DatabaseOptions,
-    reference: &[Vec<(NodeId, u64)>],
+    reference: &[QueryRun],
     work: &[(&'static str, Method)],
     shots: u32,
 ) -> ChaosRow {
@@ -191,7 +176,7 @@ fn corruption_healed(
 fn permanent_sector(
     doc: &pathix::xml::Document,
     opts: &DatabaseOptions,
-    reference: &[Vec<(NodeId, u64)>],
+    reference: &[QueryRun],
     work: &[(&'static str, Method)],
 ) -> ChaosRow {
     let probe = Database::from_document(doc, opts).expect("probe import");
@@ -219,7 +204,7 @@ fn permanent_sector(
 fn latency_spikes(
     doc: &pathix::xml::Document,
     opts: &DatabaseOptions,
-    reference: &[Vec<(NodeId, u64)>],
+    reference: &[QueryRun],
     work: &[(&'static str, Method)],
     spikes: u32,
 ) -> ChaosRow {
@@ -255,7 +240,7 @@ fn latency_spikes(
 fn random_schedules(
     doc: &pathix::xml::Document,
     opts: &DatabaseOptions,
-    reference: &[Vec<(NodeId, u64)>],
+    reference: &[QueryRun],
     work: &[(&'static str, Method)],
     trials: u64,
 ) -> ChaosRow {
@@ -293,11 +278,11 @@ fn random_schedules(
 fn parallel_containment(
     doc: &pathix::xml::Document,
     opts: &DatabaseOptions,
-    reference: &[Vec<(NodeId, u64)>],
+    reference: &[QueryRun],
     work: &[(&'static str, Method)],
 ) -> ChaosRow {
     let probe = Database::from_document(doc, opts).expect("probe import");
-    let cfg = sorted_cfg();
+    let cfg = sorted_cfg(Method::Simple);
     let trace_of = |path: &str| -> std::collections::BTreeSet<u32> {
         probe.clear_buffers();
         probe.reset_device_stats();
@@ -309,10 +294,8 @@ fn parallel_containment(
     };
     // Navigation-method page sets per path (XScan items touch every page
     // and fail for any bad page, so navigational traces decide the pick).
-    let traces: Vec<std::collections::BTreeSet<u32>> = crate::scaling::batch_paths()
-        .iter()
-        .map(|p| trace_of(p))
-        .collect();
+    let traces: Vec<std::collections::BTreeSet<u32>> =
+        batch_paths().iter().map(|p| trace_of(p)).collect();
     // A page some path reads and some other path never does: failing it
     // splits the batch into afflicted and surviving items.
     let bad = traces
@@ -336,7 +319,7 @@ fn parallel_containment(
         .expect("forkable device");
     for (i, run) in batch.runs.iter().enumerate() {
         match run {
-            Ok(r) if r.nodes == reference[i] => tally.ok_identical += 1,
+            Ok(r) if r.nodes == reference[i].nodes => tally.ok_identical += 1,
             Ok(_) => tally.wrong += 1,
             Err(ExecError::Io { .. }) => tally.clean_io_aborts += 1,
             Err(_) => tally.wrong += 1,
@@ -352,18 +335,18 @@ fn parallel_containment(
     }
 }
 
-/// Runs the full chaos sweep. `fast` shrinks the document, switches to an
-/// instant disk profile, and cuts the fuzz trial count — the CI smoke.
-pub fn chaos_sweep(fast: bool) -> (f64, Vec<ChaosRow>) {
+/// The `BENCH_PR4` artifact: every scenario over the corpus at SF 0.02.
+/// Fast mode shrinks the document to SF 0.008, switches to an instant disk
+/// profile and cuts the fault counts and fuzz trials (the CI smoke).
+///
+/// Checks: `pass` per scenario and `acceptance_all_scenarios_pass`.
+pub fn artifact(fast: bool) -> Artifact {
     let scale = if fast { 0.008 } else { 0.02 };
-    let mut opts = bench_options();
-    if fast {
-        opts.profile = DiskProfile::instant();
-    }
+    let opts = harness_options(fast);
     let doc = pathix::xmlgen::generate(&pathix::xmlgen::GenConfig::at_scale(scale));
-    let work = chaos_work();
+    let work = batch_work();
     let clean = Database::from_document(&doc, &opts).expect("oracle import");
-    let reference = oracle(&clean, &work);
+    let reference = sequential_reference(&clean, &work);
     drop(clean);
 
     let (bursts, shots, spikes, trials) = if fast {
@@ -371,7 +354,7 @@ pub fn chaos_sweep(fast: bool) -> (f64, Vec<ChaosRow>) {
     } else {
         (40, 30, 20, 24)
     };
-    let rows = vec![
+    let rows = [
         transient_storm(&doc, &opts, &reference, &work, bursts),
         corruption_healed(&doc, &opts, &reference, &work, shots),
         permanent_sector(&doc, &opts, &reference, &work),
@@ -379,39 +362,18 @@ pub fn chaos_sweep(fast: bool) -> (f64, Vec<ChaosRow>) {
         random_schedules(&doc, &opts, &reference, &work, trials),
         parallel_containment(&doc, &opts, &reference, &work),
     ];
-    (scale, rows)
-}
-
-/// Serializes the sweep as the `BENCH_PR4.json` artifact.
-pub fn emit_json(scale: f64, rows: &[ChaosRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"artifact\": \"BENCH_PR4\",\n");
-    out.push_str("  \"description\": \"fault-injection chaos sweep: transient/corrupt/permanent/latency faults and random schedules over the mixed query corpus; every query must end in the oracle result or a clean ExecError::Io, never a panic, hang, or wrong answer\",\n");
-    out.push_str(&format!("  \"engine_scale_factor\": {scale},\n"));
-    out.push_str("  \"scenarios\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"scenario\": \"{}\", \"queries\": {}, \"ok_identical\": {}, \"clean_io_aborts\": {}, \"wrong\": {}, \"retries\": {}, \"faults_injected\": {}, \"pass\": {}}}{sep}\n",
-            r.scenario,
-            r.queries,
-            r.tally.ok_identical,
-            r.tally.clean_io_aborts,
-            r.tally.wrong,
-            r.retries,
-            r.faults_injected,
-            r.pass
-        ));
-    }
-    out.push_str("  ],\n");
     let wrong: u64 = rows.iter().map(|r| r.tally.wrong).sum();
     let all_pass = rows.iter().all(|r| r.pass);
-    out.push_str(&format!("  \"wrong_answers\": {wrong},\n"));
-    out.push_str(&format!(
-        "  \"acceptance_all_scenarios_pass\": {all_pass}\n"
-    ));
-    out.push_str("}\n");
-    out
+    Artifact {
+        name: "BENCH_PR4",
+        description: "fault-injection chaos sweep: transient/corrupt/permanent/latency faults and random schedules over the mixed query corpus; every query must end in the oracle result or a clean ExecError::Io, never a panic, hang, or wrong answer",
+        params: vec![("engine_scale_factor", Value::Float(scale))],
+        sections: vec![("scenarios", rows.iter().map(ChaosRow::cells).collect())],
+        summary: vec![
+            ("wrong_answers", wrong.into()),
+            ("acceptance_all_scenarios_pass", all_pass.into()),
+        ],
+    }
 }
 
 #[cfg(test)]
@@ -419,26 +381,16 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::artifact::assert_passes_with_schema_of;
 
     #[test]
     fn fast_sweep_passes_every_scenario() {
-        let (_, rows) = chaos_sweep(true);
+        let a = artifact(true);
+        assert_passes_with_schema_of(&a, "BENCH_PR4.json");
+        let (_, rows) = &a.sections[0];
         assert_eq!(rows.len(), 6);
-        for r in &rows {
-            assert!(
-                r.pass,
-                "{} failed: {:?} (retries {}, injected {})",
-                r.scenario, r.tally, r.retries, r.faults_injected
-            );
-            assert_eq!(r.tally.wrong, 0, "{} produced wrong answers", r.scenario);
+        for row in rows {
+            assert_eq!(row[4], ("wrong", Value::Int(0)), "{row:?}");
         }
-    }
-
-    #[test]
-    fn emit_json_is_wellformed_enough() {
-        let (scale, rows) = chaos_sweep(true);
-        let json = emit_json(scale, &rows);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert!(json.contains("\"acceptance_all_scenarios_pass\": true"));
     }
 }

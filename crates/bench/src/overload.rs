@@ -29,14 +29,15 @@
 //! In full mode each fork is wrapped in a [`PacedDevice`] so the ramp
 //! costs real wall-clock time per physical read, like the scaling harness;
 //! fast mode uses an instant profile and no pacing (correctness smoke).
-//! `emit_json` writes the `BENCH_PR5.json` artifact.
+//! [`artifact`] gathers the sweep as the `BENCH_PR5` artifact.
 
-use crate::scaling::{batch_work, PacedDevice};
-use crate::{bench_options, build_db_with};
-use pathix::{Database, Method, PlanConfig};
-use pathix_core::{execute_batch, AdmissionConfig, ExecError, QueryBudget, WorkerSeed};
-use pathix_storage::{Device, DiskProfile};
-use pathix_tree::NodeId;
+use crate::artifact::{Artifact, Cells, Value};
+use crate::scaling::{batch_work, BATCH};
+use crate::{
+    build_db_with, harness_options, parse_work, sequential_reference, sorted_cfg, worker_seeds,
+};
+use pathix::{Database, Method, QueryRun};
+use pathix_core::{execute_batch, AdmissionConfig, ExecError, QueryBudget};
 use std::time::Instant;
 
 /// Rate multiples swept by the full harness (1× = sustainable).
@@ -51,66 +52,52 @@ pub const OVERLOAD_WORKERS: usize = 4;
 pub const OVERLOAD_PACE_READ_NS: u64 = 40_000;
 
 /// One measurement at one rate multiple.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverloadRow {
+struct OverloadRow {
     /// Offered-load multiple of the sustainable rate.
-    pub multiple: u32,
+    multiple: u32,
     /// Items offered (the whole batch).
-    pub offered: usize,
+    offered: usize,
     /// Admission capacity `⌈N/m⌉` at this rate.
-    pub admitted_cap: usize,
+    admitted_cap: usize,
     /// Items admitted (ran to an answer or a typed abort).
-    pub admitted: u64,
+    admitted: u64,
     /// Items shed with `Overloaded`.
-    pub shed: u64,
+    shed: u64,
     /// Admitted items that degraded into §5.4.6 fallback and answered.
-    pub degraded: u64,
+    degraded: u64,
     /// Admitted items aborted at the hard deadline.
-    pub deadline_aborted: u64,
+    deadline_aborted: u64,
     /// Admitted items that answered (degraded or not).
-    pub answered: usize,
+    answered: usize,
     /// Answered items whose nodes diverged from the oracle — must be 0.
-    pub wrong: usize,
+    wrong: usize,
     /// Median sim-latency of admitted items, milliseconds.
-    pub p50_sim_ms: f64,
+    p50_sim_ms: f64,
     /// 99th-percentile sim-latency of admitted items, milliseconds.
-    pub p99_sim_ms: f64,
+    p99_sim_ms: f64,
     /// The hard deadline every admitted item carried, milliseconds.
-    pub hard_deadline_ms: f64,
+    hard_deadline_ms: f64,
     /// Real elapsed milliseconds for the batch (not deterministic).
-    pub wall_ms: f64,
+    wall_ms: f64,
 }
 
 impl OverloadRow {
-    /// The deterministic projection of a row: everything except wall time.
-    fn sim_key(
-        &self,
-    ) -> (
-        u32,
-        usize,
-        usize,
-        u64,
-        u64,
-        u64,
-        u64,
-        usize,
-        usize,
-        u64,
-        u64,
-    ) {
-        (
-            self.multiple,
-            self.offered,
-            self.admitted_cap,
-            self.admitted,
-            self.shed,
-            self.degraded,
-            self.deadline_aborted,
-            self.answered,
-            self.wrong,
-            (self.p50_sim_ms * 1e6) as u64,
-            (self.p99_sim_ms * 1e6) as u64,
-        )
+    fn cells(&self) -> Cells {
+        vec![
+            ("rate_multiple", self.multiple.into()),
+            ("offered", self.offered.into()),
+            ("admitted_cap", self.admitted_cap.into()),
+            ("admitted", self.admitted.into()),
+            ("shed", self.shed.into()),
+            ("degraded", self.degraded.into()),
+            ("deadline_aborted", self.deadline_aborted.into()),
+            ("answered", self.answered.into()),
+            ("wrong", self.wrong.into()),
+            ("p50_sim_ms", Value::Fixed(self.p50_sim_ms, 3)),
+            ("p99_sim_ms", Value::Fixed(self.p99_sim_ms, 3)),
+            ("hard_deadline_ms", Value::Fixed(self.hard_deadline_ms, 3)),
+            ("wall_ms", Value::Fixed(self.wall_ms, 1)),
+        ]
     }
 }
 
@@ -122,53 +109,29 @@ fn percentile_ms(sorted_ns: &[u64], p: f64) -> f64 {
     sorted_ns[rank.clamp(1, sorted_ns.len()) - 1] as f64 / 1e6
 }
 
-fn governed_seeds(db: &Database, workers: usize, read_ns: u64) -> Vec<WorkerSeed> {
-    (0..workers)
-        .map(|_| {
-            let fork = db
-                .store()
-                .buffer
-                .device_mut()
-                .try_fork()
-                .expect("the simulated disk forks");
-            let device: Box<dyn Device + Send> = if read_ns > 0 {
-                Box::new(PacedDevice::new(fork, read_ns))
-            } else {
-                fork
-            };
-            WorkerSeed {
-                device,
-                meta: db.store().meta.clone(),
-                params: db.store().buffer.params(),
-            }
-        })
-        .collect()
-}
-
 fn run_ramp(
     db: &Database,
     parsed: &[(pathix::xpath::LocationPath, Method)],
-    reference: &[Vec<(NodeId, u64)>],
-    cfg: &PlanConfig,
+    reference: &[QueryRun],
     mean_service_ns: u64,
     read_ns: u64,
     multiple: u32,
 ) -> OverloadRow {
     let offered = parsed.len();
     let admitted_cap = offered.div_ceil(multiple as usize);
-    let soft_ns = mean_service_ns;
     let hard_ns = 2 * mean_service_ns;
     let budgets: Vec<QueryBudget> = (0..offered)
-        .map(|_| QueryBudget::with_deadline(soft_ns, hard_ns))
+        .map(|_| QueryBudget::with_deadline(mean_service_ns, hard_ns))
         .collect();
     let admission = AdmissionConfig {
         max_in_flight: OVERLOAD_WORKERS,
         max_admitted: Some(admitted_cap),
         ledger_cap_bytes: None,
     };
-    let seeds = governed_seeds(db, OVERLOAD_WORKERS, read_ns);
+    let seeds = worker_seeds(db, OVERLOAD_WORKERS, read_ns, None);
     let t = Instant::now();
-    let batch = execute_batch(seeds, parsed, cfg, &budgets, &admission);
+    let cfg = sorted_cfg(Method::Simple);
+    let batch = execute_batch(seeds, parsed, &cfg, &budgets, &admission);
     let wall_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let mut latencies_ns: Vec<u64> = Vec::new();
@@ -178,7 +141,7 @@ fn run_ramp(
         match run {
             Ok(r) => {
                 answered += 1;
-                if r.nodes != reference[i] {
+                if r.nodes != reference[i].nodes {
                     wrong += 1;
                 }
                 latencies_ns.push(r.report.time.total_ns);
@@ -207,113 +170,78 @@ fn run_ramp(
     }
 }
 
-/// Runs the open-loop ramp at each rate multiple — twice — and reports the
-/// rows plus whether the two passes were sim-identical (they must be: the
-/// `deterministic` flag feeds the acceptance gate).
-pub fn overload_sweep(scale: f64, multiples: &[u32], fast: bool) -> (Vec<OverloadRow>, bool) {
-    let mut opts = bench_options();
-    if fast {
-        opts.profile = DiskProfile::instant();
-    }
-    let db = build_db_with(scale, &opts);
+/// The `BENCH_PR5` artifact: the open-loop ramp at each rate multiple,
+/// run twice. Full mode ramps over [`RATE_MULTIPLES`] at SF 0.05 with
+/// [`OVERLOAD_PACE_READ_NS`] of real sleep per physical read; fast mode
+/// ramps 1× and 4× at SF 0.01 on the instant disk profile without pacing.
+///
+/// Checks: `deterministic` (the two passes are sim-identical),
+/// `zero_wrong_answers`, `sheds_exactly_over_capacity` (every rate above
+/// 1× sheds exactly its over-capacity tail, and sheds something) and
+/// `p99_bounded_by_hard_deadline`.
+pub fn artifact(fast: bool) -> Artifact {
+    let (scale, multiples, read_ns): (f64, &[u32], u64) = if fast {
+        (0.01, &[1, 4], 0)
+    } else {
+        (0.05, &RATE_MULTIPLES, OVERLOAD_PACE_READ_NS)
+    };
+    let db = build_db_with(scale, &harness_options(fast));
     let work = batch_work();
-
-    let mut cfg = PlanConfig::new(Method::Simple);
-    cfg.sort = true;
 
     // Oracle + mean sim service time, from cold sequential runs on the
     // main store (unpaced; pacing burns wall clock, not sim time).
-    let mut reference: Vec<Vec<(NodeId, u64)>> = Vec::with_capacity(work.len());
-    let mut total_service_ns: u64 = 0;
-    for (p, m) in &work {
-        let mut item_cfg = cfg;
-        item_cfg.method = *m;
-        db.clear_buffers();
-        let run = db.run(p, &item_cfg).expect("clean sequential run");
-        total_service_ns += run.report.time.total_ns;
-        reference.push(run.nodes);
-    }
+    let reference = sequential_reference(&db, &work);
+    let total_service_ns: u64 = reference.iter().map(|r| r.report.time.total_ns).sum();
     let mean_service_ns = (total_service_ns / work.len() as u64).max(1);
+    let parsed = parse_work(&work);
 
-    let parsed: Vec<(pathix::xpath::LocationPath, Method)> = work
-        .iter()
-        .map(|(p, m)| {
-            (
-                pathix::xpath::parse_path(p)
-                    .expect("batch path parses")
-                    .rooted(),
-                *m,
-            )
-        })
-        .collect();
-
-    let read_ns = if fast { 0 } else { OVERLOAD_PACE_READ_NS };
-    let pass = |_: usize| -> Vec<OverloadRow> {
+    let pass = || -> Vec<OverloadRow> {
         multiples
             .iter()
-            .map(|&m| run_ramp(&db, &parsed, &reference, &cfg, mean_service_ns, read_ns, m))
+            .map(|&m| run_ramp(&db, &parsed, &reference, mean_service_ns, read_ns, m))
             .collect()
     };
-    let first = pass(0);
-    let second = pass(1);
-    let deterministic = first
-        .iter()
-        .zip(&second)
-        .all(|(a, b)| a.sim_key() == b.sim_key())
-        && first.len() == second.len();
-    (first, deterministic)
-}
-
-/// Serializes the sweep as the `BENCH_PR5.json` artifact.
-pub fn emit_json(scale: f64, rows: &[OverloadRow], deterministic: bool) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"artifact\": \"BENCH_PR5\",\n");
-    out.push_str("  \"description\": \"governed batch executor under an open-loop arrival ramp: admission control sheds the over-capacity batch tail deterministically, two-stage deadlines degrade then abort the rest, and answered items are always oracle-correct\",\n");
-    out.push_str(&format!("  \"engine_scale_factor\": {scale},\n"));
-    out.push_str(&format!("  \"workers\": {OVERLOAD_WORKERS},\n"));
-    out.push_str(&format!("  \"pace_read_ns\": {OVERLOAD_PACE_READ_NS},\n"));
-    out.push_str("  \"batch\": \"Q6'/Q7/Q15-style paths x Simple/XSchedule/XScan\",\n");
-    out.push_str("  \"overload_ramp\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"rate_multiple\": {}, \"offered\": {}, \"admitted_cap\": {}, \"admitted\": {}, \"shed\": {}, \"degraded\": {}, \"deadline_aborted\": {}, \"answered\": {}, \"wrong\": {}, \"p50_sim_ms\": {:.3}, \"p99_sim_ms\": {:.3}, \"hard_deadline_ms\": {:.3}, \"wall_ms\": {:.1}}}{sep}\n",
-            r.multiple,
-            r.offered,
-            r.admitted_cap,
-            r.admitted,
-            r.shed,
-            r.degraded,
-            r.deadline_aborted,
-            r.answered,
-            r.wrong,
-            r.p50_sim_ms,
-            r.p99_sim_ms,
-            r.hard_deadline_ms,
-            r.wall_ms,
-        ));
-    }
-    out.push_str("  ],\n");
-    let zero_wrong = rows.iter().all(|r| r.wrong == 0);
-    let sheds_over_capacity = rows
+    let first = pass();
+    let second = pass();
+    // Everything but the wall clock must repeat exactly.
+    let sim_cells = |r: &OverloadRow| -> Cells {
+        r.cells()
+            .into_iter()
+            .filter(|(k, _)| *k != "wall_ms")
+            .collect()
+    };
+    let deterministic = first.len() == second.len()
+        && first
+            .iter()
+            .zip(&second)
+            .all(|(a, b)| sim_cells(a) == sim_cells(b));
+    let zero_wrong = first.iter().all(|r| r.wrong == 0);
+    let sheds_over_capacity = first
         .iter()
         .filter(|r| r.multiple > 1)
         .all(|r| r.shed as usize == r.offered - r.admitted_cap && r.shed > 0);
     // One inter-checkpoint stride of slack past the hard deadline (see the
     // module docs): p99 ≤ 2× the hard deadline is the acceptance bound.
-    let p99_bounded = rows
+    let p99_bounded = first
         .iter()
         .all(|r| r.p99_sim_ms <= 2.0 * r.hard_deadline_ms);
-    out.push_str(&format!("  \"deterministic\": {deterministic},\n"));
-    out.push_str(&format!("  \"zero_wrong_answers\": {zero_wrong},\n"));
-    out.push_str(&format!(
-        "  \"sheds_exactly_over_capacity\": {sheds_over_capacity},\n"
-    ));
-    out.push_str(&format!(
-        "  \"p99_bounded_by_hard_deadline\": {p99_bounded}\n"
-    ));
-    out.push_str("}\n");
-    out
+    Artifact {
+        name: "BENCH_PR5",
+        description: "governed batch executor under an open-loop arrival ramp: admission control sheds the over-capacity batch tail deterministically, two-stage deadlines degrade then abort the rest, and answered items are always oracle-correct",
+        params: vec![
+            ("engine_scale_factor", Value::Float(scale)),
+            ("workers", OVERLOAD_WORKERS.into()),
+            ("pace_read_ns", OVERLOAD_PACE_READ_NS.into()),
+            ("batch", BATCH.into()),
+        ],
+        sections: vec![("overload_ramp", first.iter().map(OverloadRow::cells).collect())],
+        summary: vec![
+            ("deterministic", deterministic.into()),
+            ("zero_wrong_answers", zero_wrong.into()),
+            ("sheds_exactly_over_capacity", sheds_over_capacity.into()),
+            ("p99_bounded_by_hard_deadline", p99_bounded.into()),
+        ],
+    }
 }
 
 #[cfg(test)]
@@ -321,38 +249,21 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::artifact::assert_passes_with_schema_of;
 
     #[test]
     fn fast_ramp_sheds_deterministically_with_zero_wrong_answers() {
-        let (rows, deterministic) = overload_sweep(0.01, &[1, 4], true);
+        let a = artifact(true);
+        assert_passes_with_schema_of(&a, "BENCH_PR5.json");
+        let (_, rows) = &a.sections[0];
         assert_eq!(rows.len(), 2);
-        assert!(deterministic, "sim outcomes changed between passes");
-        for r in &rows {
-            assert_eq!(r.wrong, 0, "wrong answers at {}x", r.multiple);
-            assert_eq!(r.admitted + r.shed, r.offered as u64);
-            assert!(
-                r.p99_sim_ms <= 2.0 * r.hard_deadline_ms,
-                "p99 {} ms blew the {} ms hard deadline at {}x",
-                r.p99_sim_ms,
-                r.hard_deadline_ms,
-                r.multiple
-            );
+        for row in rows {
+            let (Value::Int(offered), Value::Int(admitted), Value::Int(shed)) =
+                (&row[1].1, &row[3].1, &row[4].1)
+            else {
+                panic!("unexpected row layout: {row:?}");
+            };
+            assert_eq!(admitted + shed, *offered, "{row:?}");
         }
-        let at_4x = &rows[1];
-        assert_eq!(
-            at_4x.shed as usize,
-            at_4x.offered - at_4x.admitted_cap,
-            "4x ramp sheds exactly the over-capacity tail"
-        );
-        assert!(at_4x.shed > 0);
-    }
-
-    #[test]
-    fn emit_json_is_wellformed_enough() {
-        let (rows, deterministic) = overload_sweep(0.01, &[2], true);
-        let json = emit_json(0.01, &rows, deterministic);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert!(json.contains("\"zero_wrong_answers\": true"));
-        assert!(json.contains("\"deterministic\": true"));
     }
 }

@@ -18,21 +18,23 @@
 //! a page any worker has physically read costs the others neither sleep nor
 //! device traffic.
 //!
-//! `emit_json` writes the `BENCH_PR3.json` artifact consumed by the
-//! acceptance criteria; every row cross-checks that the parallel results are
-//! bit-identical to sequential one-at-a-time execution and that the shared
-//! cache read path performs zero page copies.
+//! [`artifact`] gathers the sweep as the `BENCH_PR3` artifact; every row
+//! cross-checks that the parallel results are bit-identical to sequential
+//! one-at-a-time execution and that the shared cache read path performs
+//! zero page copies.
 
-use crate::{bench_options, build_db_with};
-use pathix::{Database, Method, PlanConfig};
-use pathix_core::{execute_batch_parallel, WorkerSeed};
-use pathix_storage::{
-    Completion, Device, DeviceStats, DiskProfile, IoError, PageId, SharedCacheDevice,
-    SharedPageCache, SharedPageCacheStats, SimClock,
+use crate::artifact::{Artifact, Value};
+use crate::{
+    build_db_with, harness_options, parse_work, sequential_reference, sorted_cfg, worker_seeds,
 };
-use pathix_tree::NodeId;
+use pathix::Method;
+use pathix_core::execute_batch_parallel;
+use pathix_storage::{Completion, Device, DeviceStats, IoError, PageId, SharedPageCache, SimClock};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// What the batch of [`batch_work`] holds, as the artifacts describe it.
+pub(crate) const BATCH: &str = "Q6'/Q7/Q15-style paths x Simple/XSchedule/XScan";
 
 /// Worker counts swept by the full harness.
 pub const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -160,170 +162,85 @@ pub fn batch_work() -> Vec<(&'static str, Method)> {
     work
 }
 
-/// One measurement at one worker count.
-#[derive(Debug, Clone)]
-pub struct ScalingRow {
-    /// Worker threads.
-    pub workers: usize,
-    /// Batch items executed.
-    pub items: usize,
-    /// Real elapsed milliseconds for the whole batch.
-    pub wall_ms: f64,
-    /// Batch items per wall-clock second.
-    pub items_per_s: f64,
-    /// Wall-clock speedup vs. the 1-worker row.
-    pub speedup: f64,
-    /// Parallel results bit-identical to sequential execution.
-    pub identical: bool,
-    /// Page-image copies on the shared-cache read path — must be 0.
-    pub page_copies: u64,
-    /// Physical device reads summed over all worker forks.
-    pub device_reads: u64,
-    /// Shared-cache counters for this batch.
-    pub cache: SharedPageCacheStats,
-}
-
-fn seeds_for(
-    db: &Database,
-    workers: usize,
-    read_ns: u64,
-    cache: &Arc<SharedPageCache>,
-) -> Vec<WorkerSeed> {
-    (0..workers)
-        .map(|_| {
-            let fork = db
-                .store()
-                .buffer
-                .device_mut()
-                .try_fork()
-                .expect("the simulated disk forks");
-            let paced: Box<dyn Device + Send> = Box::new(PacedDevice::new(fork, read_ns));
-            WorkerSeed {
-                device: Box::new(SharedCacheDevice::new(paced, Arc::clone(cache))),
-                meta: db.store().meta.clone(),
-                params: db.store().buffer.params(),
-            }
-        })
-        .collect()
-}
-
-/// Runs the batch at each worker count and cross-checks every result
-/// against sequential one-at-a-time execution on the main store.
-pub fn scaling_sweep(
-    scale: f64,
-    worker_counts: &[usize],
-    instant_profile: bool,
-) -> Vec<ScalingRow> {
-    let mut opts = bench_options();
-    if instant_profile {
-        opts.profile = DiskProfile::instant();
-    }
-    let db = build_db_with(scale, &opts);
+/// The `BENCH_PR3` artifact: the batch at each worker count, every result
+/// cross-checked against the sequential reference on the main store. Full
+/// mode sweeps [`WORKER_COUNTS`] at SF 0.1 with [`PACE_READ_NS`] of real
+/// sleep per physical read; fast mode runs 1 and 2 workers at SF 0.02 on
+/// the instant disk profile without pacing (a correctness smoke).
+///
+/// Checks: `results_identical` per row and overall, `zero_copy_read_path`,
+/// and `acceptance_speedup_4w_ge_2`, which holds vacuously without a
+/// 4-worker row.
+pub fn artifact(fast: bool) -> Artifact {
+    let (worker_counts, scale, read_ns): (&[usize], f64, u64) = if fast {
+        (&[1, 2], 0.02, 0)
+    } else {
+        (&WORKER_COUNTS, 0.1, PACE_READ_NS)
+    };
+    let db = build_db_with(scale, &harness_options(fast));
     let work = batch_work();
+    let reference = sequential_reference(&db, &work);
+    let parsed = parse_work(&work);
+    let cfg = sorted_cfg(Method::Simple);
 
-    // Sequential reference: each item alone, document order, main store.
-    let mut cfg = PlanConfig::new(Method::Simple);
-    cfg.sort = true;
-    let reference: Vec<Vec<(NodeId, u64)>> = work
-        .iter()
-        .map(|(p, m)| {
-            let mut item_cfg = cfg;
-            item_cfg.method = *m;
-            db.run(p, &item_cfg).expect("sequential run").nodes
-        })
-        .collect();
-
-    let parsed: Vec<(pathix::xpath::LocationPath, Method)> = work
-        .iter()
-        .map(|(p, m)| {
-            (
-                pathix::xpath::parse_path(p)
-                    .expect("batch path parses")
-                    .rooted(),
-                *m,
-            )
-        })
-        .collect();
-
-    // Fast/instant mode skips the pacing sleeps: correctness smoke only.
-    let read_ns = if instant_profile { 0 } else { PACE_READ_NS };
-
-    let mut rows: Vec<ScalingRow> = Vec::new();
+    let mut rows = Vec::new();
+    let (mut all_identical, mut zero_copy) = (true, true);
+    let (mut base_ms, mut speedup_4w) = (None, None);
     for &workers in worker_counts {
         let cache = Arc::new(SharedPageCache::new());
-        let seeds = seeds_for(&db, workers, read_ns, &cache);
+        let seeds = worker_seeds(&db, workers, read_ns, Some(&cache));
         let t = Instant::now();
         let batch = execute_batch_parallel(seeds, &parsed, &cfg);
         let wall_s = t.elapsed().as_secs_f64().max(1e-9);
+        let wall_ms = wall_s * 1e3;
         let identical = batch.runs.len() == reference.len()
             && batch
                 .runs
                 .iter()
                 .zip(&reference)
-                .all(|(run, want)| run.as_ref().is_ok_and(|r| &r.nodes == want));
-        let base = rows.first().map(|r: &ScalingRow| r.wall_ms).unwrap_or(0.0);
-        rows.push(ScalingRow {
-            workers,
-            items: work.len(),
-            wall_ms: wall_s * 1e3,
-            items_per_s: work.len() as f64 / wall_s,
-            speedup: if base > 0.0 {
-                base / (wall_s * 1e3)
-            } else {
-                1.0
-            },
-            identical,
-            page_copies: batch.report.device.page_copies,
-            device_reads: batch.report.device.reads,
-            cache: cache.stats(),
-        });
+                .all(|(run, want)| run.as_ref().is_ok_and(|r| r.nodes == want.nodes));
+        let speedup = base_ms.map_or(1.0, |base| base / wall_ms);
+        base_ms = base_ms.or(Some(wall_ms));
+        if workers == 4 {
+            speedup_4w = Some(speedup);
+        }
+        let dev = batch.report.device;
+        all_identical &= identical;
+        zero_copy &= dev.page_copies == 0;
+        let stats = cache.stats();
+        rows.push(vec![
+            ("workers", workers.into()),
+            ("items", work.len().into()),
+            ("wall_ms", Value::Fixed(wall_ms, 1)),
+            ("items_per_s", Value::Fixed(work.len() as f64 / wall_s, 2)),
+            ("speedup_vs_1w", Value::Fixed(speedup, 2)),
+            ("results_identical", identical.into()),
+            ("page_copies", dev.page_copies.into()),
+            ("device_reads", dev.reads.into()),
+            ("cache_hits", stats.hits.into()),
+            ("cache_misses", stats.misses.into()),
+            ("single_flight_waits", stats.single_flight_waits.into()),
+        ]);
     }
-    rows
-}
-
-/// Serializes the sweep as the `BENCH_PR3.json` artifact.
-pub fn emit_json(scale: f64, rows: &[ScalingRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"artifact\": \"BENCH_PR3\",\n");
-    out.push_str("  \"description\": \"wall-clock batch throughput of the parallel worker-pool executor over a shared sharded page cache; device latency realized as a fixed real sleep per physical read so the batch is I/O-bound in wall-clock terms\",\n");
-    out.push_str(&format!("  \"engine_scale_factor\": {scale},\n"));
-    out.push_str(&format!("  \"pace_read_ns\": {PACE_READ_NS},\n"));
-    out.push_str("  \"batch\": \"Q6'/Q7/Q15-style paths x Simple/XSchedule/XScan\",\n");
-    out.push_str("  \"thread_scaling\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"items\": {}, \"wall_ms\": {:.1}, \"items_per_s\": {:.2}, \"speedup_vs_1w\": {:.2}, \"results_identical\": {}, \"page_copies\": {}, \"device_reads\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \"single_flight_waits\": {}}}{sep}\n",
-            r.workers,
-            r.items,
-            r.wall_ms,
-            r.items_per_s,
-            r.speedup,
-            r.identical,
-            r.page_copies,
-            r.device_reads,
-            r.cache.hits,
-            r.cache.misses,
-            r.cache.single_flight_waits
-        ));
+    Artifact {
+        name: "BENCH_PR3",
+        description: "wall-clock batch throughput of the parallel worker-pool executor over a shared sharded page cache; device latency realized as a fixed real sleep per physical read so the batch is I/O-bound in wall-clock terms",
+        params: vec![
+            ("engine_scale_factor", Value::Float(scale)),
+            ("pace_read_ns", PACE_READ_NS.into()),
+            ("batch", BATCH.into()),
+        ],
+        sections: vec![("thread_scaling", rows)],
+        summary: vec![
+            ("results_identical", all_identical.into()),
+            ("zero_copy_read_path", zero_copy.into()),
+            ("speedup_at_4_workers", Value::Fixed(speedup_4w.unwrap_or(0.0), 2)),
+            (
+                "acceptance_speedup_4w_ge_2",
+                speedup_4w.is_none_or(|s| s >= 2.0).into(),
+            ),
+        ],
     }
-    out.push_str("  ],\n");
-    let identical = rows.iter().all(|r| r.identical);
-    let zero_copy = rows.iter().all(|r| r.page_copies == 0);
-    let speedup_4w = rows
-        .iter()
-        .find(|r| r.workers == 4)
-        .map(|r| r.speedup)
-        .unwrap_or(0.0);
-    out.push_str(&format!("  \"results_identical\": {identical},\n"));
-    out.push_str(&format!("  \"zero_copy_read_path\": {zero_copy},\n"));
-    out.push_str(&format!("  \"speedup_at_4_workers\": {speedup_4w:.2},\n"));
-    out.push_str(&format!(
-        "  \"acceptance_speedup_4w_ge_2\": {}\n",
-        speedup_4w >= 2.0
-    ));
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -331,32 +248,22 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::artifact::assert_passes_with_schema_of;
 
     #[test]
     fn fast_sweep_is_identical_and_zero_copy() {
-        // Instant profile: no pacing sleeps, pure correctness smoke.
-        let rows = scaling_sweep(0.01, &[1, 2], true);
+        let a = artifact(true);
+        assert_passes_with_schema_of(&a, "BENCH_PR3.json");
+        let (_, rows) = &a.sections[0];
         assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.identical, "worker count {} diverged", r.workers);
-            assert_eq!(r.page_copies, 0);
-            assert!(r.cache.misses > 0);
-        }
         // The cache sits on the read path: every physical read went through
         // it. (Cross-worker *hits* are scheduling-dependent — on one core
         // with an instant profile a single worker may drain the whole batch
         // before the second is scheduled — so none are asserted here; the
         // paced full sweep is where sharing shows.)
-        assert!(rows[0].device_reads > 0);
-        assert!(rows[1].cache.misses > 0);
-    }
-
-    #[test]
-    fn emit_json_is_wellformed_enough() {
-        let rows = scaling_sweep(0.01, &[1], true);
-        let json = emit_json(0.01, &rows);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert!(json.contains("\"results_identical\": true"));
-        assert!(json.contains("\"zero_copy_read_path\": true"));
+        assert!(matches!(rows[0][7], ("device_reads", Value::Int(n)) if n > 0));
+        for row in rows {
+            assert!(matches!(row[9], ("cache_misses", Value::Int(n)) if n > 0));
+        }
     }
 }

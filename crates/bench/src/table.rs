@@ -24,7 +24,7 @@ pub fn render(headers: &[&str], rows: &[Vec<String>]) -> String {
         &mut out,
         &headers.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
     );
-    let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
+    let total: usize = widths.iter().sum::<usize>() + 2 * cols.saturating_sub(1);
     out.push_str(&"-".repeat(total));
     out.push('\n');
     for row in rows {

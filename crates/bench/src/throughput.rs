@@ -16,10 +16,11 @@
 //!    pages/s and result-nodes/s (wall clock, not simulated ns), plus the
 //!    page-copy counter that the zero-copy read path must keep at zero.
 //!
-//! `emit_json` writes the `BENCH_PR2.json` artifact consumed by the
-//! acceptance criteria.
+//! [`artifact`] gathers both as the `BENCH_PR2` artifact. Its checks are
+//! `outcomes_agree` on every microbench row and `zero_copy_read_path`.
 
-use crate::{bench_options, build_db_with, Q6};
+use crate::artifact::{Artifact, Cells, Value};
+use crate::{build_db_with, harness_options, Q6};
 use pathix::{Method, PlanConfig};
 use pathix_storage::{Device, DiskProfile, ReferenceDisk, SimClock, SimDisk};
 use std::time::Instant;
@@ -72,25 +73,10 @@ pub fn indexed_drain(n: usize, depth: usize) -> (u64, u64) {
     drain(SimDisk::with_profile(64, micro_profile(depth)), n)
 }
 
-/// One microbench comparison at one depth.
-#[derive(Debug, Clone, Copy)]
-pub struct MicroRow {
-    /// Visible-window depth.
-    pub depth: usize,
-    /// Pending-set size drained.
-    pub pending: usize,
-    /// Wall-clock milliseconds: naive alloc-and-sort scheduler.
-    pub naive_ms: f64,
-    /// Wall-clock milliseconds: indexed command queue.
-    pub indexed_ms: f64,
-    /// `naive_ms / indexed_ms`.
-    pub speedup: f64,
-    /// Both sides produced identical simulated outcomes.
-    pub agree: bool,
-}
-
-/// Runs the queue microbench at each depth, `n` pending requests.
-pub fn micro_sweep(n: usize, depths: &[usize]) -> Vec<MicroRow> {
+/// Runs the queue microbench at each depth, `n` pending requests: one row
+/// per depth, with both sides' wall-clock milliseconds and whether their
+/// simulated outcomes agree (the check that makes the ratio trustworthy).
+fn micro_sweep(n: usize, depths: &[usize]) -> Vec<Cells> {
     depths
         .iter()
         .map(|&depth| {
@@ -100,51 +86,25 @@ pub fn micro_sweep(n: usize, depths: &[usize]) -> Vec<MicroRow> {
             let t = Instant::now();
             let indexed = indexed_drain(n, depth);
             let indexed_ms = t.elapsed().as_secs_f64() * 1e3;
-            MicroRow {
-                depth,
-                pending: n,
-                naive_ms,
-                indexed_ms,
-                speedup: naive_ms / indexed_ms.max(1e-9),
-                agree: naive == indexed,
-            }
+            vec![
+                ("depth", depth.into()),
+                ("pending", n.into()),
+                ("naive_ms", Value::Fixed(naive_ms, 3)),
+                ("indexed_ms", Value::Fixed(indexed_ms, 3)),
+                ("speedup", Value::Fixed(naive_ms / indexed_ms.max(1e-9), 2)),
+                ("outcomes_agree", (naive == indexed).into()),
+            ]
         })
         .collect()
 }
 
-/// One engine-throughput measurement.
-#[derive(Debug, Clone)]
-pub struct EngineRow {
-    /// Plan label.
-    pub method: String,
-    /// Device queue depth (and XSchedule `k`).
-    pub depth: usize,
-    /// Real elapsed milliseconds for the cold run.
-    pub wall_ms: f64,
-    /// Device pages read.
-    pub pages_read: u64,
-    /// Pages per wall-clock second.
-    pub pages_per_s: f64,
-    /// Query result (count of result nodes).
-    pub result_nodes: u64,
-    /// Result nodes per wall-clock second.
-    pub nodes_per_s: f64,
-    /// Simulated total seconds (the usual metric, for reference).
-    pub sim_total_s: f64,
-    /// Page-image copies performed by the device — must be 0.
-    pub page_copies: u64,
-}
-
-/// Runs Q6 cold for each method at each device queue depth, measuring wall
-/// time. `instant_profile` replaces the disk cost model with zero latency
-/// (the CI smoke configuration — wall time then is pure engine overhead).
-pub fn engine_sweep(scale: f64, depths: &[usize], instant_profile: bool) -> Vec<EngineRow> {
+/// Runs Q6 cold for each method at each device queue depth (also
+/// XSchedule's `k`), measuring wall time: one row per `(depth, method)`,
+/// with the page-copy counter that the zero-copy read path keeps at 0.
+fn engine_sweep(scale: f64, depths: &[usize], fast: bool) -> Vec<Cells> {
     let mut rows = Vec::new();
     for &depth in depths {
-        let mut opts = bench_options();
-        if instant_profile {
-            opts.profile = DiskProfile::instant();
-        }
+        let mut opts = harness_options(fast);
         opts.profile.queue_depth = depth;
         let db = build_db_with(scale, &opts);
         let methods = [
@@ -158,63 +118,50 @@ pub fn engine_sweep(scale: f64, depths: &[usize], instant_profile: bool) -> Vec<
         for m in methods {
             db.clear_buffers();
             db.reset_device_stats();
-            let cfg = PlanConfig::new(m);
             let t = Instant::now();
-            let run = db.run(Q6, &cfg).expect("throughput query runs");
+            let run = db
+                .run(Q6, &PlanConfig::new(m))
+                .expect("throughput query runs");
             let wall_s = t.elapsed().as_secs_f64().max(1e-9);
             let dev = run.report.device;
-            rows.push(EngineRow {
-                method: m.label().to_owned(),
-                depth,
-                wall_ms: wall_s * 1e3,
-                pages_read: dev.reads,
-                pages_per_s: dev.reads as f64 / wall_s,
-                result_nodes: run.value,
-                nodes_per_s: run.value as f64 / wall_s,
-                sim_total_s: run.report.total_secs(),
-                page_copies: dev.page_copies,
-            });
+            rows.push(vec![
+                ("method", m.label().into()),
+                ("depth", depth.into()),
+                ("wall_ms", Value::Fixed(wall_s * 1e3, 3)),
+                ("pages_read", dev.reads.into()),
+                ("pages_per_s", Value::Fixed(dev.reads as f64 / wall_s, 0)),
+                ("result_nodes", run.value.into()),
+                ("nodes_per_s", Value::Fixed(run.value as f64 / wall_s, 0)),
+                ("sim_total_s", Value::Fixed(run.report.total_secs(), 4)),
+                ("page_copies", dev.page_copies.into()),
+            ]);
         }
     }
     rows
 }
 
-/// Serializes both sweeps as the `BENCH_PR2.json` artifact.
-pub fn emit_json(scale: f64, micro: &[MicroRow], engine: &[EngineRow]) -> String {
-    let mut out = String::from("{\n");
-    out.push_str("  \"artifact\": \"BENCH_PR2\",\n");
-    out.push_str("  \"description\": \"wall-clock throughput of the reordering substrate: indexed command queue vs naive alloc+sort, and end-to-end engine rates per device queue depth\",\n");
-    out.push_str(&format!("  \"engine_scale_factor\": {scale},\n"));
-    out.push_str("  \"queue_microbench\": [\n");
-    for (i, r) in micro.iter().enumerate() {
-        let sep = if i + 1 < micro.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"depth\": {}, \"pending\": {}, \"naive_ms\": {:.3}, \"indexed_ms\": {:.3}, \"speedup\": {:.2}, \"outcomes_agree\": {}}}{sep}\n",
-            r.depth, r.pending, r.naive_ms, r.indexed_ms, r.speedup, r.agree
-        ));
+/// The `BENCH_PR2` artifact. Full mode drains [`MICRO_PENDING`] requests
+/// and runs the engine at SF 0.25 over every depth of [`DEPTHS`]; fast mode
+/// drains 512 at the first three depths and runs SF 0.02 on the instant
+/// disk profile.
+pub fn artifact(fast: bool) -> Artifact {
+    let (pending, depths, scale) = if fast {
+        (512, &DEPTHS[..3], 0.02)
+    } else {
+        (MICRO_PENDING, &DEPTHS[..], 0.25)
+    };
+    let micro = micro_sweep(pending, depths);
+    let engine = engine_sweep(scale, depths, fast);
+    let zero_copy = engine
+        .iter()
+        .all(|row| row.contains(&("page_copies", Value::Int(0))));
+    Artifact {
+        name: "BENCH_PR2",
+        description: "wall-clock throughput of the reordering substrate: indexed command queue vs naive alloc+sort, and end-to-end engine rates per device queue depth",
+        params: vec![("engine_scale_factor", Value::Float(scale))],
+        sections: vec![("queue_microbench", micro), ("engine_throughput", engine)],
+        summary: vec![("zero_copy_read_path", zero_copy.into())],
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"engine_throughput\": [\n");
-    for (i, r) in engine.iter().enumerate() {
-        let sep = if i + 1 < engine.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{\"method\": \"{}\", \"depth\": {}, \"wall_ms\": {:.3}, \"pages_read\": {}, \"pages_per_s\": {:.0}, \"result_nodes\": {}, \"nodes_per_s\": {:.0}, \"sim_total_s\": {:.4}, \"page_copies\": {}}}{sep}\n",
-            r.method,
-            r.depth,
-            r.wall_ms,
-            r.pages_read,
-            r.pages_per_s,
-            r.result_nodes,
-            r.nodes_per_s,
-            r.sim_total_s,
-            r.page_copies
-        ));
-    }
-    out.push_str("  ],\n");
-    let zero_copy = engine.iter().all(|r| r.page_copies == 0);
-    out.push_str(&format!("  \"zero_copy_read_path\": {zero_copy}\n"));
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -222,6 +169,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use crate::artifact::assert_passes_with_schema_of;
 
     #[test]
     fn naive_and_indexed_agree_on_simulated_outcome() {
@@ -232,24 +180,13 @@ mod tests {
 
     #[test]
     fn micro_sweep_rows_are_consistent() {
-        let rows = micro_sweep(200, &[1, 8]);
-        assert_eq!(rows.len(), 2);
-        for r in rows {
-            assert!(r.agree, "simulated outcomes diverged at depth {}", r.depth);
-            assert!(r.indexed_ms > 0.0);
+        let a = artifact(true);
+        assert_passes_with_schema_of(&a, "BENCH_PR2.json");
+        let (_, micro) = &a.sections[0];
+        assert_eq!(micro.len(), 3);
+        for row in micro {
+            assert!(matches!(row[3], ("indexed_ms", Value::Fixed(ms, _)) if ms > 0.0));
         }
-    }
-
-    #[test]
-    fn emit_json_is_wellformed_enough() {
-        let micro = micro_sweep(100, &[1]);
-        let engine = engine_sweep(0.01, &[1], true);
-        let json = emit_json(0.01, &micro, &engine);
-        assert!(json.starts_with('{') && json.ends_with("}\n"));
-        assert_eq!(
-            json.matches("\"depth\"").count(),
-            micro.len() + engine.len()
-        );
-        assert!(json.contains("\"zero_copy_read_path\": true"));
+        assert_eq!(a.sections[1].1.len(), 9);
     }
 }

@@ -13,24 +13,10 @@
 
 use crate::context::ExecCtx;
 use crate::error::ExecError;
-use crate::plan::{Method, PlanConfig, PlanCursor};
+use crate::plan::{Method, PathRun, PlanConfig, PlanCursor};
 use crate::report::{buffer_delta, device_delta, ExecReport};
-use pathix_tree::{NodeId, TreeStore};
+use pathix_tree::TreeStore;
 use pathix_xpath::LocationPath;
-
-/// Result of one plan in a concurrent batch.
-#[derive(Debug, Clone)]
-pub struct ConcurrentRun {
-    /// Result nodes of this plan.
-    pub nodes: Vec<(NodeId, u64)>,
-    /// The plan's method label.
-    pub method: String,
-    /// This plan's own share of the batch cost: clock/buffer/device deltas
-    /// accumulated around its `next()` turns and its final sort, plus its
-    /// private algebra counters. Summing the per-plan reports reproduces
-    /// the combined batch report's I/O and time totals.
-    pub report: ExecReport,
-}
 
 /// Runs `f`, adding the clock/buffer/device activity it causes to `acc`.
 fn bracketed<R>(store: &TreeStore, acc: &mut ExecReport, f: impl FnOnce() -> R) -> R {
@@ -52,13 +38,18 @@ fn bracketed<R>(store: &TreeStore, acc: &mut ExecReport, f: impl FnOnce() -> R) 
 /// like a sequential run of it: Simple plans pay their duplicate
 /// elimination, and with `cfg.sort` every plan pays its final sort.
 ///
+/// Each plan's own report is its share of the batch cost: the
+/// clock/buffer/device deltas accumulated around its `pull()` turns and its
+/// final sort, plus its private algebra counters. Summing the per-plan
+/// reports reproduces the combined report's I/O and time totals.
+///
 /// Fails with [`ExecError::UnexpectedEnd`] if any plan breaks the output
 /// contract (a bug in the operator tree, never the caller's input).
 pub fn execute_interleaved(
     store: &TreeStore,
     work: &[(LocationPath, Method)],
     cfg: &PlanConfig,
-) -> Result<(Vec<ConcurrentRun>, ExecReport), ExecError> {
+) -> Result<(Vec<PathRun>, ExecReport), ExecError> {
     // A recorded I/O error from an earlier aborted run must not bleed in.
     store.clear_io_error();
     let clock0 = store.clock().breakdown();
@@ -113,11 +104,7 @@ pub fn execute_interleaved(
             device: acc.device,
             ..report
         };
-        runs.push(ConcurrentRun {
-            nodes,
-            method: report.method.clone(),
-            report,
-        });
+        runs.push(PathRun { nodes, report });
     }
     let report = ExecReport {
         method: "interleaved".to_owned(),
@@ -205,8 +192,11 @@ mod tests {
             assert_eq!(fixes, combined.buffer.fixes, "sort = {sort}");
             for run in &runs {
                 assert_eq!(run.report.results, run.nodes.len() as u64);
-                assert_eq!(run.report.method, run.method);
-                assert!(run.report.instances > 0, "{} did no work?", run.method);
+                assert!(
+                    run.report.instances > 0,
+                    "{} did no work?",
+                    run.report.method
+                );
             }
             cpu_ns.push(combined.time.cpu_ns);
         }

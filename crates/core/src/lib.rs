@@ -31,7 +31,7 @@ pub mod plan;
 pub mod report;
 pub mod server;
 
-pub use concurrent::{execute_interleaved, ConcurrentRun};
+pub use concurrent::execute_interleaved;
 pub use context::{CostParams, ExecCtx, ExecStats};
 pub use error::ExecError;
 pub use governor::{

@@ -27,10 +27,9 @@
 //! Concurrency primitives (`std::thread`, `parking_lot`, atomics) are
 //! confined to this file by lint rule R5; the operators never see them.
 
-use crate::concurrent::ConcurrentRun;
 use crate::error::ExecError;
 use crate::governor::{cold_start, AdmissionConfig, GovernorReport, MemLedger, QueryBudget};
-use crate::plan::{run_path, Method, PlanConfig};
+use crate::plan::{run_path, Method, PathRun, PlanConfig};
 use crate::report::ExecReport;
 use parking_lot::{Condvar, Mutex};
 use pathix_storage::{BufferParams, Device, SimClock};
@@ -65,7 +64,7 @@ pub struct BatchRun {
     /// before publishing a result, [`ExecError::Overloaded`] if admission
     /// shed it, [`ExecError::DeadlineExceeded`] / [`ExecError::Canceled`]
     /// if its budget aborted it.
-    pub runs: Vec<Result<ConcurrentRun, ExecError>>,
+    pub runs: Vec<Result<PathRun, ExecError>>,
     /// Sum of the *successful* per-item reports. `time` is aggregate
     /// simulated time across all workers (simulated clocks run
     /// concurrently, so this is total *work*, not elapsed time);
@@ -166,7 +165,7 @@ pub fn execute_batch(
         admission.max_in_flight
     });
     let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<ConcurrentRun, ExecError>>>> =
+    let results: Mutex<Vec<Option<Result<PathRun, ExecError>>>> =
         Mutex::new((0..work.len()).map(|_| None).collect());
 
     std::thread::scope(|scope| {
@@ -211,11 +210,6 @@ pub fn execute_batch(
                             }
                             let item = std::panic::AssertUnwindSafe(|| {
                                 run_path(&store, path, &item_cfg, budgets.get(i), ledger.as_ref())
-                                    .map(|run| ConcurrentRun {
-                                        nodes: run.nodes,
-                                        method: method.label().to_owned(),
-                                        report: run.report,
-                                    })
                             });
                             std::panic::catch_unwind(item).unwrap_or_else(|_| {
                                 // The item unwound mid-plan (its gate guard
@@ -341,7 +335,7 @@ mod tests {
                 crate::plan::execute_path(&store, path, &item_cfg).expect("sequential executes");
             let run = batch.runs[i].as_ref().expect("item succeeds");
             assert_eq!(run.nodes, seq.nodes, "item {i} diverged");
-            assert_eq!(run.method, method.label());
+            assert_eq!(run.report.method, method.label());
         }
         assert_eq!(
             batch.report.results,
@@ -460,7 +454,7 @@ mod tests {
         assert!(
             matches!(batch.runs[0], Err(ExecError::WorkerLost { item: 0 })),
             "got {:?}",
-            batch.runs[0].as_ref().map(|r| &r.method)
+            batch.runs[0].as_ref().map(|r| &r.report.method)
         );
         let survivor = batch.runs[1].as_ref().expect("item 1 unaffected");
         let mut item_cfg = cfg;

@@ -3,8 +3,8 @@
 
 use pathix_core::{
     cold_start, execute_batch, execute_interleaved, execute_paths_shared_scan, execute_query,
-    AdmissionConfig, BatchRun, ConcurrentRun, ExecError, ExecReport, Method, MultiPathRun,
-    Optimizer, PlanConfig, PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
+    AdmissionConfig, BatchRun, ExecError, ExecReport, Method, MultiPathRun, Optimizer, PathRun,
+    PlanConfig, PlanEstimate, QueryBudget, QueryRun, WorkerSeed,
 };
 use pathix_storage::{
     BufferParams, Device, DiskProfile, FaultDevice, FaultPlan, MemDevice, QueuePolicy,
@@ -229,7 +229,7 @@ impl Database {
         &self,
         work: &[(&str, Method)],
         cfg: &PlanConfig,
-    ) -> Result<(Vec<ConcurrentRun>, ExecReport), DbError> {
+    ) -> Result<(Vec<PathRun>, ExecReport), DbError> {
         Ok(execute_interleaved(&self.store, &parse_work(work)?, cfg)?)
     }
 

@@ -84,7 +84,7 @@ fn oracle() -> &'static (Vec<Vec<(NodeId, u64)>>, u32, u32) {
 /// Checks one governed batch against the closed outcome set. Returns a
 /// compact class label per item (used by the determinism test).
 fn classify(
-    runs: &[Result<pathix::core::ConcurrentRun, ExecError>],
+    runs: &[Result<pathix::core::PathRun, ExecError>],
     reference: &[Vec<(NodeId, u64)>],
     admitted_cap: usize,
     hard_ns: u64,

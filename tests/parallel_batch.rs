@@ -116,7 +116,12 @@ fn per_plan_reports_sum_to_combined() {
         .sum();
     assert_eq!(read_sum, batch.report.device.reads);
     for run in &batch.runs {
-        assert!(!run.as_ref().expect("item succeeds").method.is_empty());
+        assert!(!run
+            .as_ref()
+            .expect("item succeeds")
+            .report
+            .method
+            .is_empty());
     }
 }
 
