@@ -17,6 +17,7 @@
 //! (Q15) → schedule.
 
 use pathix_storage::DiskProfile;
+use pathix_tree::node::DECODE_NODE_NS;
 use pathix_tree::TreeMeta;
 use pathix_xpath::{Axis, LocationPath, NodeTest};
 
@@ -52,8 +53,8 @@ impl PlanEstimate {
 const CPU_NODE_NS: f64 = 1_350.0;
 /// CPU for one speculative instance flowing through the step chain, ns.
 const CPU_SPEC_NS: f64 = 2_500.0;
-/// Decode cost per node, ns (must track `pathix_tree::node::DECODE_NODE_NS`).
-const CPU_DECODE_NS: f64 = 700.0;
+/// Decode cost per node, ns.
+const CPU_DECODE_NS: f64 = DECODE_NODE_NS as f64;
 
 /// Estimator state: document statistics plus the device profile.
 #[derive(Debug, Clone)]

@@ -23,7 +23,8 @@
 //!   `HashMap` in cost-accounting/report code.
 //! - **R3 — panic-freedom.** No `unwrap`/`expect`/`panic!`-family
 //!   macros or slice indexing in non-test code of the operator hot
-//!   path, the buffer manager, and the navigation primitives.
+//!   path, the buffer manager and its page checksum, the simulated disk,
+//!   and the navigation primitives.
 //!   Escape hatch: `// lint:allow(reason)` on or above the line.
 //! - **R4 — layering.** Inter-crate references must point down the
 //!   layer stack, and `Pi` instances may only be built through the

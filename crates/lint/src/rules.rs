@@ -48,10 +48,12 @@ const CHECKPOINT_FILES: &[&str] = &[
 ];
 
 /// Files whose non-test code must be panic-free (R3): the operator hot
-/// path, the buffer manager, and the navigation primitives.
+/// path, the buffer manager and the page checksum it runs on every miss,
+/// and the navigation primitives.
 fn in_panic_free_zone(path: &str) -> bool {
     path.starts_with("crates/core/src/ops/")
         || path == "crates/storage/src/buffer.rs"
+        || path == "crates/storage/src/checksum.rs"
         || path == "crates/storage/src/sim_disk.rs"
         || path == "crates/tree/src/nav.rs"
 }
@@ -569,6 +571,13 @@ mod tests {
         assert!(rules_of("crates/core/src/ops/xstep.rs", src).is_empty());
         // …but the same code in a tests/ directory is exempt too.
         assert!(rules_of("crates/core/src/ops/xstep.rs", "fn f() { x.unwrap(); }").contains(&"R3"));
+    }
+
+    #[test]
+    fn checksum_is_in_the_panic_free_zone() {
+        let src = "fn f(v: Option<u8>) -> u8 { v.unwrap() }";
+        assert_eq!(rules_of("crates/storage/src/checksum.rs", src), vec!["R3"]);
+        assert!(rules_of("crates/storage/src/wal.rs", src).is_empty());
     }
 
     #[test]
