@@ -1,9 +1,15 @@
 //! Micro-benchmarks of the substrates: navigation primitives, buffer
 //! manager, page codec, XML parsing and document generation. These measure
 //! real CPU time (the simulated clock is irrelevant here).
+//!
+//! The page codec group has three sides: `encode` serializes an owned
+//! cluster, `decode` is the buffer's structural decode of a verified page
+//! image (record heads only, payloads left in the image), and
+//! `materialize` is the owned decode the updater uses to rewrite a page,
+//! which copies every payload out.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use pathix_storage::{BufferParams, MemDevice, SimClock};
+use pathix_storage::{seal_page, verify_image, BufferParams, MemDevice, SimClock};
 use pathix_tree::{
     import_into, Entry, ImportConfig, NavCharge, NavCounters, NavParams, Placement, ResolvedTest,
     StepCursor, TreeStore,
@@ -72,17 +78,21 @@ fn bench_buffer_fix(c: &mut Criterion) {
 
 fn bench_codec(c: &mut Criterion) {
     let store = store_for_micro();
-    let cluster = store.fix_node(store.root());
-    let bytes = pathix_tree::node::encode_cluster(&cluster, 8192);
+    let view = store.fix_node(store.root());
+    let owned = view.materialize().expect("well-formed payloads");
+    let mut bytes = pathix_tree::node::encode_cluster(&owned, 8192);
+    seal_page(&mut bytes);
+    let image = verify_image(bytes.into()).expect("freshly sealed page");
     let clock = SimClock::new();
     let mut group = c.benchmark_group("page_codec");
-    group.throughput(Throughput::Elements(cluster.len() as u64));
+    group.throughput(Throughput::Elements(view.len() as u64));
     group.bench_function("encode", |b| {
-        b.iter(|| pathix_tree::node::encode_cluster(&cluster, 8192))
+        b.iter(|| pathix_tree::node::encode_cluster(&owned, 8192))
     });
     group.bench_function("decode", |b| {
-        b.iter(|| pathix_tree::node::decode_cluster(0, &bytes, &clock))
+        b.iter(|| pathix_tree::node::decode_cluster(0, &image, &clock))
     });
+    group.bench_function("materialize", |b| b.iter(|| view.materialize()));
     group.finish();
 }
 

@@ -470,10 +470,10 @@ pub fn extension_aging(scale: f64, levels: &[usize]) -> Vec<(usize, u32, f64, f6
             let anchors: Vec<u16> = {
                 let cluster = db.store().fix(page);
                 cluster
-                    .nodes
+                    .heads()
                     .iter()
                     .enumerate()
-                    .filter(|(_, n)| n.kind.is_core() && n.parent.is_some())
+                    .filter(|(_, n)| n.kind().is_core() && n.parent().is_some())
                     .map(|(i, _)| i as u16)
                     .collect()
             };

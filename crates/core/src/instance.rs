@@ -221,7 +221,7 @@ mod tests {
     use pathix_xml::Symbol;
 
     fn cluster() -> Arc<Cluster> {
-        Arc::new(Cluster {
+        let owned = pathix_tree::OwnedCluster {
             page: 3,
             nodes: vec![pathix_tree::Node {
                 kind: pathix_tree::NodeKind::elem(Symbol(0)),
@@ -231,7 +231,11 @@ mod tests {
                 prev_sibling: None,
                 order: 17,
             }],
-        })
+        };
+        let bytes = pathix_tree::node::encode_cluster(&owned, 256);
+        let image = pathix_storage::verify_image(bytes.into()).expect("unsealed page");
+        let clock = pathix_storage::SimClock::new();
+        Arc::new(pathix_tree::node::decode_cluster(3, &image, &clock))
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub fn execute_paths_shared_scan(
                 let mut q = pl.queue.borrow_mut();
                 if is_root_page {
                     cx.charge_instance();
-                    let order = cluster.node(root.slot).order;
+                    let order = cluster.node(root.slot).order();
                     q.push_back(Pi::swizzled_context(cluster.clone(), root.slot, order));
                 }
                 for &b in &border_slots {
@@ -153,7 +153,7 @@ pub fn execute_paths_shared_scan(
         // Zero-step path: the result is the context itself.
         if pl.len == 0 && pl.results.is_empty() {
             if let Some(cluster) = store.checked_fix(root.page) {
-                pl.results.push((root, cluster.node(root.slot).order));
+                pl.results.push((root, cluster.node(root.slot).order()));
             }
         }
         if cfg.sort {

@@ -74,7 +74,7 @@ impl XScan {
         if let Some(ctxs) = self.ctx_by_page.get(&page) {
             for &id in ctxs {
                 cx.charge_instance();
-                let order = cluster.node(id.slot).order;
+                let order = cluster.node(id.slot).order();
                 self.emit
                     .push_back(Pi::swizzled_context(cluster.clone(), id.slot, order));
             }
@@ -117,7 +117,7 @@ impl Operator for XScan {
                 let &id = self.all_contexts.get(*fb)?;
                 *fb += 1;
                 let cluster = cx.store.checked_fix(id.page)?;
-                let order = cluster.node(id.slot).order;
+                let order = cluster.node(id.slot).order();
                 cx.charge_instance();
                 return Some(Pi::swizzled_context(cluster, id.slot, order));
             }

@@ -200,7 +200,7 @@ impl XSchedule {
                 slot: e.slot,
             }
         } else {
-            let order = cluster.node(e.slot).order;
+            let order = cluster.node(e.slot).order();
             REnd::Core {
                 cluster,
                 slot: e.slot,

@@ -213,7 +213,7 @@ mod tests {
             let p = self.inner.next(cx)?;
             let id = p.nr.node_id();
             let cluster = cx.store.fix(id.page);
-            let order = cluster.node(id.slot).order;
+            let order = cluster.node(id.slot).order();
             Some(Pi {
                 nr: REnd::Core {
                     cluster,

@@ -352,7 +352,7 @@ impl<'a> PlanCursor<'a> {
             } => (cluster.id(*slot), *order),
             // Zero-step Simple plans emit the raw context instances.
             REnd::Cold { id, .. } => match self.cx.store.checked_fix(id.page) {
-                Some(cluster) => (*id, cluster.node(id.slot).order),
+                Some(cluster) => (*id, cluster.node(id.slot).order()),
                 None => {
                     // Error recorded; the executor aborts.
                     self.done = true;

@@ -71,11 +71,14 @@ struct Confinement {
     idents: &'static [&'static str],
     applies: fn(&str) -> bool,
     in_tests: bool,
+    /// Match only where the identifier is *built*: a struct or tuple
+    /// literal (see [`is_literal`]), not a type position or a path.
+    literal: bool,
     /// `{id}` stands for the offending identifier.
     message: &'static str,
 }
 
-/// The identifier bans of R1, R2, R5, R6 and R7, in reporting order.
+/// The identifier bans of R1, R2 and R4–R7, in reporting order.
 const CONFINEMENTS: &[Confinement] = &[
     // R1: physical I/O and storage-layer access stays in the I/O operators.
     Confinement {
@@ -102,6 +105,7 @@ const CONFINEMENTS: &[Confinement] = &[
             p.starts_with("crates/core/src/ops/") && !IO_OPERATOR_FILES.contains(&base_name(p))
         },
         in_tests: false,
+        literal: false,
         message: "I/O API `{id}` referenced in a navigation-only operator; \
                   only XSchedule/XScan/UnnestMap perform cluster I/O",
     },
@@ -111,6 +115,7 @@ const CONFINEMENTS: &[Confinement] = &[
         idents: &["Instant", "SystemTime"],
         applies: |p| p != "crates/storage/src/file_device.rs" && !p.starts_with("crates/bench/"),
         in_tests: true,
+        literal: false,
         message: "`{id}` breaks deterministic replay; use the simulated \
                   clock (SimClock) for all cost accounting",
     },
@@ -120,6 +125,7 @@ const CONFINEMENTS: &[Confinement] = &[
         idents: &["rand"],
         applies: |p| !p.starts_with("crates/xmlgen/") && !p.starts_with("crates/bench/"),
         in_tests: false,
+        literal: false,
         message: "`rand` outside xmlgen/bench/tests; derive randomness \
                   from explicit seeds (see PlacementRng)",
     },
@@ -130,6 +136,7 @@ const CONFINEMENTS: &[Confinement] = &[
         idents: &["HashMap"],
         applies: |p| matches!(base_name(p), "report.rs" | "context.rs"),
         in_tests: false,
+        literal: false,
         message: "HashMap iteration order is nondeterministic; use \
                   BTreeMap in cost-accounting/report code",
     },
@@ -156,6 +163,7 @@ const CONFINEMENTS: &[Confinement] = &[
                 || p.starts_with("crates/bench/"))
         },
         in_tests: false,
+        literal: false,
         message: "threading primitive `{id}` outside the concurrency zone \
                   (storage, core/src/server.rs, core/src/governor.rs, \
                   bench); the operator hot path stays single-threaded",
@@ -190,6 +198,7 @@ const CONFINEMENTS: &[Confinement] = &[
             ) || p.starts_with("crates/bench/"))
         },
         in_tests: false,
+        literal: false,
         message: "governor type `{id}` outside the governor zone \
                   (core governor/context/plan/server/error/lib, \
                   src/db.rs, src/lib.rs, bench, tests); operators \
@@ -205,6 +214,7 @@ const CONFINEMENTS: &[Confinement] = &[
             p.starts_with("crates/core/src/ops/") && !CHECKPOINT_FILES.contains(&base_name(p))
         },
         in_tests: false,
+        literal: false,
         message: "interrupt gate consulted outside the declared \
                   checkpoint operators (xstep/xscan/xschedule/\
                   xassembly/unnest); see DESIGN §12",
@@ -215,6 +225,7 @@ const CONFINEMENTS: &[Confinement] = &[
         idents: &["Instant", "SystemTime"],
         applies: |p| p == "crates/core/src/governor.rs",
         in_tests: false,
+        literal: false,
         message: "`{id}` in deadline logic; deadlines are expressed \
                   in simulated nanoseconds (SimClock) so governed \
                   runs replay exactly",
@@ -234,6 +245,7 @@ const CONFINEMENTS: &[Confinement] = &[
                 || p == "src/lib.rs")
         },
         in_tests: false,
+        literal: false,
         message: "fault-injection type `{id}` outside the fault zone \
                   (storage, src/db.rs, src/lib.rs, bench, tests); faults \
                   are planted below the shared cache only",
@@ -246,9 +258,44 @@ const CONFINEMENTS: &[Confinement] = &[
         idents: &["ExecError"],
         applies: |p| p.starts_with("crates/core/src/ops/"),
         in_tests: false,
+        literal: false,
         message: "`ExecError` referenced inside an operator; operators \
                   wind down on checked_fix() == None and the executor \
                   surfaces the store-recorded error",
+    },
+    // R6: `IoError` may only be *constructed* by the storage layer
+    // (device/buffer stack); everyone else consumes it.
+    Confinement {
+        rule: "R6",
+        idents: &["IoError"],
+        applies: |p| !p.starts_with("crates/storage/"),
+        in_tests: false,
+        literal: true,
+        message: "IoError built outside the storage layer; only the \
+                  device/buffer stack originates I/O errors",
+    },
+    // R6: a page image becomes a `VerifiedPage` only by passing its
+    // checksum in `checksum::verify_image`, so everything a decoder (and a
+    // cluster reading payloads lazily) sees was CRC-checked.
+    Confinement {
+        rule: "R6",
+        idents: &["VerifiedPage"],
+        applies: |p| p != "crates/storage/src/checksum.rs",
+        in_tests: true,
+        literal: true,
+        message: "VerifiedPage built outside checksum.rs; images are \
+                  verified only by checksum::verify_image",
+    },
+    // R4: path instances are built by the checked constructors only.
+    Confinement {
+        rule: "R4",
+        idents: &["Pi"],
+        applies: |p| p != "crates/core/src/instance.rs",
+        in_tests: false,
+        literal: true,
+        message: "Pi built by struct literal; use the checked \
+                  constructors in instance.rs (Pi::band/context/\
+                  swizzled_context/speculative/result)",
     },
 ];
 
@@ -326,8 +373,6 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
         .filter(|c| (c.applies)(rel_path))
         .collect();
     let r3_applies = in_panic_free_zone(rel_path);
-    let r4_pi_applies = rel_path != "crates/core/src/instance.rs";
-    let r6_ioerr_applies = !rel_path.starts_with("crates/storage/");
     let own_crate = crate_of_path(rel_path);
 
     for (i, st) in toks.iter().enumerate() {
@@ -336,6 +381,7 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                 for c in &confinements {
                     if (c.in_tests || !is_test(i))
                         && c.idents.iter().any(|pat| ident_matches(pat, id))
+                        && (!c.literal || is_literal(toks, i))
                     {
                         out.push(Diagnostic {
                             file: rel_path.to_owned(),
@@ -373,44 +419,6 @@ pub fn check_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
                         line: st.line,
                         rule: "R3",
                         message: format!("`{id}!` in the panic-free zone"),
-                    });
-                }
-                // R6: `IoError` may only be *constructed* by the storage
-                // layer (device/buffer stack); everyone else consumes it.
-                // `-> IoError {` and `impl IoError {` are not literals.
-                if r6_ioerr_applies
-                    && !is_test(i)
-                    && id == "IoError"
-                    && next_is(toks, i, '{')
-                    && !prev_is(toks, i, '>')
-                    && !prev_is_ident(toks, i, &["impl", "for", "dyn"])
-                {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R6",
-                        message: "IoError built outside the storage layer; only the \
-                                  device/buffer stack originates I/O errors"
-                            .to_owned(),
-                    });
-                }
-                // R4: Pi struct literals outside instance.rs. `-> Pi {`
-                // (return type + body) and `impl Pi {` are not literals.
-                if r4_pi_applies
-                    && !is_test(i)
-                    && id == "Pi"
-                    && next_is(toks, i, '{')
-                    && !prev_is(toks, i, '>')
-                    && !prev_is_ident(toks, i, &["impl", "for", "dyn"])
-                {
-                    out.push(Diagnostic {
-                        file: rel_path.to_owned(),
-                        line: st.line,
-                        rule: "R4",
-                        message: "Pi built by struct literal; use the checked \
-                                  constructors in instance.rs (Pi::band/context/\
-                                  swizzled_context/speculative/result)"
-                            .to_owned(),
                     });
                 }
                 // R4: layering of inter-crate references.
@@ -488,6 +496,15 @@ fn indexes_expression(toks: &[SpannedTok], i: usize) -> bool {
         Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('?') => true,
         _ => false,
     }
+}
+
+/// Whether the identifier at `i` is built here: followed by `{` or `(`,
+/// except after `->` (a return type before the body) and in `impl T {`,
+/// `for T {`, `dyn T {` and `struct T(` (declarations, not literals).
+fn is_literal(toks: &[SpannedTok], i: usize) -> bool {
+    (next_is(toks, i, '{') || next_is(toks, i, '('))
+        && !prev_is(toks, i, '>')
+        && !prev_is_ident(toks, i, &["impl", "for", "dyn", "struct"])
 }
 
 /// Bin targets are separate crates that legitimately import the sibling
@@ -661,6 +678,26 @@ mod tests {
         assert!(!rules_of("crates/storage/src/buffer.rs", build).contains(&"R6"));
         let consume = "fn f(e: IoError) -> u32 { e.page }";
         assert!(!rules_of("crates/core/src/server.rs", consume).contains(&"R6"));
+    }
+
+    #[test]
+    fn verified_page_is_built_only_in_checksum() {
+        let build = "fn f(b: Arc<[u8]>) -> VerifiedPage { VerifiedPage(b) }";
+        // Anywhere else a literal is flagged, in tests too…
+        for path in [
+            "crates/storage/src/buffer.rs",
+            "crates/tree/src/node.rs",
+            "crates/storage/tests/t.rs",
+        ] {
+            assert_eq!(rules_of(path, build), vec!["R6"], "{path}");
+        }
+        // …but checksum.rs, the only verifier, builds it.
+        assert!(rules_of("crates/storage/src/checksum.rs", build).is_empty());
+        // Naming the type is fine everywhere.
+        let consume = "fn decode(image: &VerifiedPage) -> Option<VerifiedPage> { None }";
+        assert!(rules_of("crates/tree/src/store.rs", consume).is_empty());
+        let declare = "pub struct VerifiedPage(Arc<[u8]>);\nimpl VerifiedPage {}";
+        assert!(rules_of("crates/storage/src/buffer.rs", declare).is_empty());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! Natix-style XML engines keep two representations of a page: the on-disk
 //! byte image and a decoded main-memory object ("dual buffering", Kemper &
-//! Kossmann). pathix caches the decoded object: on a miss the page bytes are
-//! fetched from the device and passed through a [`PageDecoder`], and the cost
-//! of that representation change is charged to the clock by the decoder.
+//! Kossmann). pathix caches the decoded structure plus a pinned, verified
+//! image: on a miss the page bytes are fetched from the device, checked
+//! into a [`VerifiedPage`] and passed through a [`PageDecoder`], which may
+//! keep the image (shared, not copied) to read payloads from on demand.
+//! The decoder charges the cost of the representation change to the clock.
 //!
 //! *Fixing* a resident page still costs a hash-table lookup plus latch
 //! (`fix_hit_ns`) — the "swizzling" cost the paper minimizes by passing
@@ -13,14 +15,15 @@
 //! never evicted. Eviction uses the CLOCK (second chance) policy.
 //!
 //! The buffer is also where I/O faults are **absorbed or surfaced**: every
-//! page image is checksum-verified before it is decoded, and failed reads go
+//! page image is checksum-verified before it is decoded — the decoder's
+//! input type, [`VerifiedPage`], has no other constructor — and failed reads go
 //! through a bounded, deterministic [`RetryPolicy`] (exponential sim-clock
 //! backoff). Transient errors heal invisibly — the only trace is
 //! [`DeviceStats::retries`] — while permanent errors (or an exhausted
 //! attempt budget) surface from [`BufferManager::try_fix`] as a typed
 //! [`IoError`] carrying the final attempt count.
 
-use crate::checksum::verify_page;
+use crate::checksum::{verify_image, VerifiedPage};
 use crate::clock::SimClock;
 use crate::device::{Device, DeviceStats, IoError, IoErrorKind, PageId};
 use std::cell::{Cell, RefCell, RefMut};
@@ -58,16 +61,17 @@ impl RetryPolicy {
     }
 }
 
-/// Turns raw page bytes into the cached in-memory representation.
+/// Turns a verified page image into the cached in-memory representation.
 pub trait PageDecoder<T> {
-    /// Decodes `bytes` of `page`, charging representation-change CPU cost to
-    /// `clock`.
-    fn decode(&self, page: PageId, bytes: &[u8], clock: &SimClock) -> T;
+    /// Decodes `image` of `page`, charging representation-change CPU cost
+    /// to `clock`. The result may keep a clone of `image` (a shared
+    /// reference, not a copy) to read payloads from later.
+    fn decode(&self, page: PageId, image: &VerifiedPage, clock: &SimClock) -> T;
 }
 
-impl<T, F: Fn(PageId, &[u8], &SimClock) -> T> PageDecoder<T> for F {
-    fn decode(&self, page: PageId, bytes: &[u8], clock: &SimClock) -> T {
-        self(page, bytes, clock)
+impl<T, F: Fn(PageId, &VerifiedPage, &SimClock) -> T> PageDecoder<T> for F {
+    fn decode(&self, page: PageId, image: &VerifiedPage, clock: &SimClock) -> T {
+        self(page, image, clock)
     }
 }
 
@@ -412,15 +416,15 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
                     break;
                 };
                 let done = c.page == page;
-                match c.result {
-                    Ok(bytes) if verify_page(&bytes) => {
-                        let data = self.install_completion(c.page, &bytes);
+                match c.result.ok().and_then(verify_image) {
+                    Some(image) => {
+                        let data = self.install_completion(c.page, &image);
                         if done {
                             self.stats.borrow_mut().misses += 1;
                             return Ok(data);
                         }
                     }
-                    _ => {
+                    None => {
                         self.submitted.borrow_mut().remove(&c.page);
                         if done {
                             break; // retry synchronously below
@@ -434,20 +438,16 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         self.clock.charge_cpu(p.miss_overhead_ns);
         let retry = self.retry.get();
         let mut attempt = 1u32;
-        let bytes = loop {
+        let image = loop {
             let outcome = self
                 .device
                 .borrow_mut()
                 .read_sync(page, &self.clock)
                 .and_then(|bytes| {
-                    if verify_page(&bytes) {
-                        Ok(bytes)
-                    } else {
-                        Err(IoError::new(page, IoErrorKind::Corrupt))
-                    }
+                    verify_image(bytes).ok_or_else(|| IoError::new(page, IoErrorKind::Corrupt))
                 });
             match outcome {
-                Ok(bytes) => break bytes,
+                Ok(image) => break image,
                 Err(mut e) => {
                     // Retry backoff counts against the query's deadline: a
                     // wait that would end past the I/O deadline is not
@@ -466,7 +466,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
                 }
             }
         };
-        let data = Arc::new(self.decoder.decode(page, &bytes, &self.clock));
+        let data = Arc::new(self.decoder.decode(page, &image, &self.clock));
         self.insert(page, Arc::clone(&data));
         Ok(data)
     }
@@ -497,12 +497,12 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     pub fn fix_any_prefetched(&self, block: bool) -> Option<(PageId, Arc<T>)> {
         loop {
             let c = self.device.borrow_mut().poll(&self.clock, block)?;
-            match c.result {
-                Ok(bytes) if verify_page(&bytes) => {
-                    let data = self.install_completion(c.page, &bytes);
+            match c.result.ok().and_then(verify_image) {
+                Some(image) => {
+                    let data = self.install_completion(c.page, &image);
                     return Some((c.page, data));
                 }
-                _ => {
+                None => {
                     self.submitted.borrow_mut().remove(&c.page);
                 }
             }
@@ -514,7 +514,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         self.device.borrow().in_flight()
     }
 
-    fn install_completion(&self, page: PageId, bytes: &[u8]) -> Arc<T> {
+    fn install_completion(&self, page: PageId, image: &VerifiedPage) -> Arc<T> {
         self.submitted.borrow_mut().remove(&page);
         {
             let mut st = self.stats.borrow_mut();
@@ -526,7 +526,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
             // Raced with a synchronous fix; keep the existing frame.
             return existing;
         }
-        let data = Arc::new(self.decoder.decode(page, bytes, &self.clock));
+        let data = Arc::new(self.decoder.decode(page, image, &self.clock));
         self.insert(page, Arc::clone(&data));
         data
     }
@@ -631,9 +631,9 @@ mod tests {
     /// Decoder that records the first byte of the page.
     struct FirstByte;
     impl PageDecoder<u8> for FirstByte {
-        fn decode(&self, _page: PageId, bytes: &[u8], clock: &SimClock) -> u8 {
+        fn decode(&self, _page: PageId, image: &VerifiedPage, clock: &SimClock) -> u8 {
             clock.charge_cpu(10);
-            bytes[0]
+            image[0]
         }
     }
 

@@ -13,6 +13,10 @@
 //! reserves the trailer bytes, so on cluster pages they are always padding
 //! and sealing never clobbers record data.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 /// Length of the checksum trailer, in bytes.
 pub const CHECKSUM_LEN: usize = 4;
 
@@ -109,6 +113,34 @@ pub fn verify_page(page: &[u8]) -> bool {
     };
     let stored = u32::from_le_bytes(*trailer);
     stored == 0 || stored == trailer_crc(body)
+}
+
+/// A page image that passed [`verify_page`]. Only [`verify_image`]
+/// constructs one, so code that takes a `VerifiedPage` (the buffer's
+/// [`PageDecoder`](crate::PageDecoder), and the tree clusters that pin
+/// their image to read payloads lazily) can only ever see checked bytes.
+/// Cloning shares the image; it never copies it.
+#[derive(Clone)]
+pub struct VerifiedPage(Arc<[u8]>);
+
+impl Deref for VerifiedPage {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl fmt::Debug for VerifiedPage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "VerifiedPage({} bytes)", self.0.len())
+    }
+}
+
+/// Verifies `image` (see [`verify_page`]) and, if it passes, wraps it
+/// without copying.
+pub fn verify_image(image: Arc<[u8]>) -> Option<VerifiedPage> {
+    verify_page(&image).then_some(VerifiedPage(image))
 }
 
 /// True if the page carries a (non-zero) checksum trailer.
@@ -214,6 +246,18 @@ mod tests {
         raw[12..].fill(0); // zero trailer = unsealed
         assert!(verify_page(&raw));
         assert!(!is_sealed(&raw));
+    }
+
+    #[test]
+    fn verify_image_wraps_only_passing_images_without_copying() {
+        let mut page = random_bytes(&mut StdRng::seed_from_u64(5), 64);
+        seal_page(&mut page);
+        let image: Arc<[u8]> = page.into();
+        let verified = verify_image(Arc::clone(&image)).unwrap();
+        assert!(std::ptr::eq(&*verified, &*image), "the image is shared");
+        let mut torn = image.to_vec();
+        torn[3] ^= 0x10;
+        assert!(verify_image(torn.into()).is_none());
     }
 
     #[test]

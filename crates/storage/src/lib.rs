@@ -2,7 +2,8 @@
 //!
 //! Paged storage substrate for the pathix XPath engine: storage devices with
 //! an explicit physical cost model, an asynchronous I/O interface, and a
-//! buffer manager that caches *decoded* page representations.
+//! buffer manager that caches *decoded* page representations together with
+//! their pinned, checksum-verified images.
 //!
 //! The paper ("Cost-Sensitive Reordering of Navigational Primitives",
 //! SIGMOD 2005) evaluates on a real disk. This crate substitutes a
@@ -38,7 +39,9 @@ pub mod slotted;
 pub mod wal;
 
 pub use buffer::{BufferManager, BufferParams, BufferStats, PageDecoder, RetryPolicy};
-pub use checksum::{crc32, is_sealed, seal_page, verify_page, CHECKSUM_LEN};
+pub use checksum::{
+    crc32, is_sealed, seal_page, verify_image, verify_page, VerifiedPage, CHECKSUM_LEN,
+};
 pub use clock::{SimClock, TimeBreakdown};
 pub use device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultRule, FaultStats};

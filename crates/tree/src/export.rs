@@ -3,20 +3,12 @@
 //! (import ∘ export ≡ identity) and by the document-export use case the
 //! paper's outlook mentions.
 
-use crate::node::{Cluster, NodeId, NodeKind};
+use crate::node::{Cluster, HeadKind};
 use crate::store::TreeStore;
 use pathix_storage::PageId;
 use pathix_xml::{Document, NodeRef};
 use std::collections::HashMap;
 use std::sync::Arc;
-
-struct Frame {
-    cluster: Arc<crate::node::Cluster>,
-    /// Next slot to process in the current sibling chain.
-    cur: Option<u16>,
-    /// Document node receiving the children.
-    parent: NodeRef,
-}
 
 /// Rebuilds the logical document from the store.
 ///
@@ -24,74 +16,7 @@ struct Frame {
 /// by following the tree structure), so it exercises exactly the structures
 /// queries use.
 pub fn export(store: &TreeStore) -> Document {
-    let root_cluster = store.fix_node(store.root());
-    let root_node = root_cluster.node(store.root().slot);
-    let NodeKind::Element { tag, attrs } = &root_node.kind else {
-        panic!("document root must be an element");
-    };
-    let mut doc = Document::new(store.meta.symbols.name(*tag));
-    for (name, value) in attrs.iter() {
-        let name = store.meta.symbols.name(*name).to_owned();
-        doc.set_attr(doc.root(), &name, value);
-    }
-
-    let mut stack = vec![Frame {
-        cur: root_node.first_child,
-        cluster: root_cluster,
-        parent: doc.root(),
-    }];
-
-    while let Some(frame) = stack.last_mut() {
-        let Some(slot) = frame.cur else {
-            stack.pop();
-            continue;
-        };
-        let node = frame.cluster.node(slot);
-        frame.cur = node.next_sibling;
-        let parent = frame.parent;
-        match &node.kind {
-            NodeKind::Element { tag, attrs } => {
-                let tag_name = store.meta.symbols.name(*tag).to_owned();
-                let el = doc.add_element(parent, &tag_name);
-                for (name, value) in attrs.iter() {
-                    let name = store.meta.symbols.name(*name).to_owned();
-                    doc.set_attr(el, &name, value);
-                }
-                let first = node.first_child;
-                let cluster = frame.cluster.clone();
-                if first.is_some() {
-                    stack.push(Frame {
-                        cluster,
-                        cur: first,
-                        parent: el,
-                    });
-                }
-            }
-            NodeKind::Text(t) => {
-                doc.add_text(parent, t);
-            }
-            NodeKind::BorderDown { target } => {
-                // Continue this chain position inside the companion cluster:
-                // the BorderUp's children are the deferred children.
-                let target: NodeId = *target;
-                let next_cluster = store.fix(target.page);
-                let up = next_cluster.node(target.slot);
-                debug_assert!(matches!(up.kind, NodeKind::BorderUp { .. }));
-                let first = up.first_child;
-                if first.is_some() {
-                    stack.push(Frame {
-                        cluster: next_cluster,
-                        cur: first,
-                        parent,
-                    });
-                }
-            }
-            NodeKind::BorderUp { .. } | NodeKind::Free => {
-                unreachable!("proxy root or tombstone inside a sibling chain")
-            }
-        }
-    }
-    doc
+    walk(store, |page| store.fix(page))
 }
 
 /// Rebuilds the logical document with a **single sequential scan** of the
@@ -102,74 +27,101 @@ pub fn export(store: &TreeStore) -> Document {
 /// random page accesses of [`export`]'s structural walk with one scan.
 pub fn export_scan(store: &TreeStore) -> Document {
     // Phase 1: one sequential pass pins every cluster.
-    let mut clusters: HashMap<PageId, Arc<Cluster>> = HashMap::new();
-    for page in store.meta.page_range() {
-        clusters.insert(page, store.fix(page));
-    }
+    let clusters: HashMap<PageId, Arc<Cluster>> = store
+        .meta
+        .page_range()
+        .map(|page| (page, store.fix(page)))
+        .collect();
     // Phase 2: stitch in memory (no further I/O).
-    let root = store.meta.root;
-    let root_cluster = Arc::clone(&clusters[&root.page]);
-    let root_node = root_cluster.node(root.slot);
-    let NodeKind::Element { tag, attrs } = &root_node.kind else {
+    walk(store, |page| Arc::clone(&clusters[&page]))
+}
+
+struct Frame {
+    cluster: Arc<Cluster>,
+    /// Next slot to process in the current sibling chain.
+    cur: Option<u16>,
+    /// Document node receiving the children.
+    parent: NodeRef,
+}
+
+/// The stitch loop both exports share: a depth-first walk of the stored
+/// tree from the root, crossing every `BorderDown` into the cluster that
+/// `fetch` returns for its target page, reading text and attribute
+/// payloads zero-copy from the clusters' images.
+///
+/// # Panics
+/// Panics on a structurally invalid store (a non-element root, a proxy
+/// root or tombstone inside a sibling chain) or a malformed payload.
+fn walk(store: &TreeStore, mut fetch: impl FnMut(PageId) -> Arc<Cluster>) -> Document {
+    let symbols = &store.meta.symbols;
+    let root = store.root();
+    let root_cluster = fetch(root.page);
+    let root_node = *root_cluster.node(root.slot);
+    let HeadKind::Element { tag } = root_node.kind() else {
         panic!("document root must be an element");
     };
-    let mut doc = Document::new(store.meta.symbols.name(*tag));
-    for (name, value) in attrs.iter() {
-        let name = store.meta.symbols.name(*name).to_owned();
-        doc.set_attr(doc.root(), &name, value);
-    }
+    let mut doc = Document::new(symbols.name(tag));
+    let doc_root = doc.root();
+    copy_attrs(store, &mut doc, doc_root, &root_cluster, root.slot);
     let mut stack = vec![Frame {
-        cur: root_node.first_child,
+        cur: root_node.first_child(),
         cluster: root_cluster,
-        parent: doc.root(),
+        parent: doc_root,
     }];
     while let Some(frame) = stack.last_mut() {
         let Some(slot) = frame.cur else {
             stack.pop();
             continue;
         };
-        let node = frame.cluster.node(slot);
-        frame.cur = node.next_sibling;
-        let parent = frame.parent;
-        match &node.kind {
-            NodeKind::Element { tag, attrs } => {
-                let tag_name = store.meta.symbols.name(*tag).to_owned();
-                let el = doc.add_element(parent, &tag_name);
-                for (name, value) in attrs.iter() {
-                    let name = store.meta.symbols.name(*name).to_owned();
-                    doc.set_attr(el, &name, value);
-                }
-                let first = node.first_child;
-                if first.is_some() {
-                    let cluster = frame.cluster.clone();
-                    stack.push(Frame {
-                        cluster,
-                        cur: first,
-                        parent: el,
-                    });
-                }
+        let node = *frame.cluster.node(slot);
+        frame.cur = node.next_sibling();
+        let (first, parent, remote) = match node.kind() {
+            HeadKind::Element { tag } => {
+                let el = doc.add_element(frame.parent, symbols.name(tag));
+                copy_attrs(store, &mut doc, el, &frame.cluster, slot);
+                (node.first_child(), el, None)
             }
-            NodeKind::Text(t) => {
-                doc.add_text(parent, t);
+            HeadKind::Text => {
+                let text = frame.cluster.text(slot).expect("well-formed text payload");
+                doc.add_text(frame.parent, text);
+                continue;
             }
-            NodeKind::BorderDown { target } => {
-                let next_cluster = Arc::clone(&clusters[&target.page]);
-                let up = next_cluster.node(target.slot);
-                if up.first_child.is_some() {
-                    let cur = up.first_child;
-                    stack.push(Frame {
-                        cluster: next_cluster,
-                        cur,
-                        parent,
-                    });
-                }
+            HeadKind::BorderDown { target } => {
+                // Continue this chain position inside the companion cluster:
+                // the BorderUp's children are the deferred children.
+                let next = fetch(target.page);
+                debug_assert!(matches!(
+                    next.node(target.slot).kind(),
+                    HeadKind::BorderUp { .. }
+                ));
+                (
+                    next.node(target.slot).first_child(),
+                    frame.parent,
+                    Some(next),
+                )
             }
-            NodeKind::BorderUp { .. } | NodeKind::Free => {
+            HeadKind::BorderUp { .. } | HeadKind::Free => {
                 unreachable!("proxy root or tombstone inside a sibling chain")
             }
+        };
+        if first.is_some() {
+            let cluster = remote.unwrap_or_else(|| Arc::clone(&frame.cluster));
+            stack.push(Frame {
+                cluster,
+                cur: first,
+                parent,
+            });
         }
     }
     doc
+}
+
+/// Copies the attributes of the element at `slot` onto `el`.
+fn copy_attrs(store: &TreeStore, doc: &mut Document, el: NodeRef, cluster: &Cluster, slot: u16) {
+    let attrs = cluster.attrs(slot).expect("well-formed attribute payload");
+    for (name, value) in attrs {
+        doc.set_attr(el, store.meta.symbols.name(name), value);
+    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! heavily updated, fragmented database, and `Strided` models a regularly
 //! interleaved layout (e.g. after round-robin space allocation).
 
-use crate::node::{encode_cluster, encoded_size, Cluster, Node, NodeId, NodeKind};
+use crate::node::{encode_cluster, encoded_size, Node, NodeId, NodeKind, OwnedCluster};
 use crate::store::TreeMeta;
 use pathix_storage::{seal_page, Device, PageId, CHECKSUM_LEN};
 use pathix_xml::{Document, NodeRef, XKind};
@@ -425,7 +425,7 @@ pub fn import_into(
     let base = device.num_pages();
 
     // Fix border targets: placeholder page = cluster index.
-    let mut finals: Vec<Cluster> = Vec::with_capacity(n);
+    let mut finals: Vec<OwnedCluster> = Vec::with_capacity(n);
     let mut record_bytes = 0u64;
     let mut nodes = 0u64;
     for (idx, c) in clusters.into_iter().enumerate() {
@@ -444,7 +444,7 @@ pub fn import_into(
                 node
             })
             .collect();
-        finals.push(Cluster { page, nodes: fixed });
+        finals.push(OwnedCluster { page, nodes: fixed });
     }
 
     // Write in physical page order.
@@ -553,10 +553,11 @@ mod tests {
         let mut clusters = Vec::new();
         for p in meta.base_page..meta.base_page + meta.page_count {
             let bytes = dev.read_sync(p, &clock).unwrap();
-            assert!(pathix_storage::verify_page(&bytes), "page {p} not sealed");
-            clusters.push(crate::node::decode_cluster(p, &bytes, &clock));
+            assert!(pathix_storage::is_sealed(&bytes), "page {p} not sealed");
+            let image = pathix_storage::verify_image(bytes).expect("checksum");
+            clusters.push(crate::node::decode_cluster(p, &image, &clock));
         }
-        let find = |id: NodeId| -> &Node {
+        let find = |id: NodeId| -> &crate::node::NodeHead {
             let c = &clusters[(id.page - meta.base_page) as usize];
             assert_eq!(c.page, id.page);
             c.node(id.slot)
@@ -564,44 +565,50 @@ mod tests {
         let mut cores = 0u64;
         for c in &clusters {
             assert!(!c.is_empty(), "no empty clusters");
-            for (slot, n) in c.nodes.iter().enumerate() {
-                if n.kind.is_core() {
+            for (slot, n) in c.heads().iter().enumerate() {
+                if n.kind().is_core() {
                     cores += 1;
                 }
                 // Border companions point back at us.
-                if let Some(t) = n.kind.target() {
+                if let Some(t) = n.kind().target() {
                     let back = find(t);
                     assert_eq!(
-                        back.kind.target(),
+                        back.kind().target(),
                         Some(NodeId::new(c.page, slot as u16)),
                         "companion symmetry"
                     );
-                    match n.kind {
-                        NodeKind::BorderDown { .. } => {
-                            assert!(matches!(back.kind, NodeKind::BorderUp { .. }))
+                    match n.kind() {
+                        crate::node::HeadKind::BorderDown { .. } => {
+                            assert!(matches!(
+                                back.kind(),
+                                crate::node::HeadKind::BorderUp { .. }
+                            ))
                         }
-                        NodeKind::BorderUp { .. } => {
-                            assert!(matches!(back.kind, NodeKind::BorderDown { .. }))
+                        crate::node::HeadKind::BorderUp { .. } => {
+                            assert!(matches!(
+                                back.kind(),
+                                crate::node::HeadKind::BorderDown { .. }
+                            ))
                         }
                         _ => unreachable!(),
                     }
                 }
                 // Link symmetry within the cluster.
-                if let Some(fc) = n.first_child {
-                    assert_eq!(c.node(fc).parent, Some(slot as u16));
-                    assert_eq!(c.node(fc).prev_sibling, None);
+                if let Some(fc) = n.first_child() {
+                    assert_eq!(c.node(fc).parent(), Some(slot as u16));
+                    assert_eq!(c.node(fc).prev_sibling(), None);
                 }
-                if let Some(ns) = n.next_sibling {
-                    assert_eq!(c.node(ns).prev_sibling, Some(slot as u16));
-                    assert_eq!(c.node(ns).parent, n.parent);
+                if let Some(ns) = n.next_sibling() {
+                    assert_eq!(c.node(ns).prev_sibling(), Some(slot as u16));
+                    assert_eq!(c.node(ns).parent(), n.parent());
                 }
                 // BorderUp proxies are roots of the cluster's forest.
-                if matches!(n.kind, NodeKind::BorderUp { .. }) {
-                    assert_eq!(n.parent, None);
+                if matches!(n.kind(), crate::node::HeadKind::BorderUp { .. }) {
+                    assert_eq!(n.parent(), None);
                 }
                 // Borders are leaves except BorderUp.
-                if matches!(n.kind, NodeKind::BorderDown { .. }) {
-                    assert_eq!(n.first_child, None);
+                if matches!(n.kind(), crate::node::HeadKind::BorderDown { .. }) {
+                    assert_eq!(n.first_child(), None);
                 }
             }
         }
@@ -644,11 +651,11 @@ mod tests {
         let clock = SimClock::new();
         let mut orders = Vec::new();
         for p in 0..meta.page_count {
-            let bytes = dev.read_sync(p, &clock).unwrap();
-            let c = crate::node::decode_cluster(p, &bytes, &clock);
-            for n in &c.nodes {
-                if n.kind.is_core() {
-                    orders.push(n.order);
+            let image = pathix_storage::verify_image(dev.read_sync(p, &clock).unwrap()).unwrap();
+            let c = crate::node::decode_cluster(p, &image, &clock);
+            for n in c.heads() {
+                if n.kind().is_core() {
+                    orders.push(n.order());
                 }
             }
         }

@@ -35,6 +35,8 @@ pub use import::{import_into, ImportConfig, ImportReport, Placement};
 pub use nav::{
     Entry, FullCursor, NavCharge, NavCounters, NavParams, ResolvedTest, StepCursor, StepItem,
 };
-pub use node::{Cluster, Node, NodeId, NodeKind, ORDER_SPACING};
+pub use node::{
+    Cluster, HeadKind, Node, NodeHead, NodeId, NodeKind, OwnedCluster, PayloadError, ORDER_SPACING,
+};
 pub use store::{TreeMeta, TreeStore};
 pub use update::{InsertPos, NewNode, TreeUpdater, UpdateError};

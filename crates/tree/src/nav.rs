@@ -15,7 +15,7 @@
 //! All cursors charge per-node CPU costs to the shared clock through
 //! [`NavCharge`], so the cost model sees every visited node and node test.
 
-use crate::node::{Cluster, NodeId, NodeKind};
+use crate::node::{Cluster, HeadKind, NodeId};
 use crate::store::TreeStore;
 use pathix_storage::SimClock;
 use pathix_xml::{Symbol, SymbolTable};
@@ -113,14 +113,14 @@ impl ResolvedTest {
 
     /// Whether a core node of `kind` passes the test. Border nodes never
     /// match (their content is remote).
-    pub fn matches(&self, kind: &NodeKind) -> bool {
+    pub fn matches(&self, kind: &HeadKind) -> bool {
         match (self, kind) {
-            (ResolvedTest::Name(Some(sym)), NodeKind::Element { tag, .. }) => sym == tag,
+            (ResolvedTest::Name(Some(sym)), HeadKind::Element { tag }) => sym == tag,
             (ResolvedTest::Name(_), _) => false,
-            (ResolvedTest::AnyElement, NodeKind::Element { .. }) => true,
+            (ResolvedTest::AnyElement, HeadKind::Element { .. }) => true,
             (ResolvedTest::AnyElement, _) => false,
             (ResolvedTest::AnyNode, k) => k.is_core(),
-            (ResolvedTest::Text, NodeKind::Text(_)) => true,
+            (ResolvedTest::Text, HeadKind::Text) => true,
             (ResolvedTest::Text, _) => false,
         }
     }
@@ -216,15 +216,15 @@ impl StepCursor {
     /// `end_border` helper: the chain continues remotely iff its parent is a
     /// `BorderUp` proxy.
     fn chain_end(cluster: &Cluster, parent: Option<u16>) -> Option<u16> {
-        parent.filter(|&p| matches!(cluster.node(p).kind, NodeKind::BorderUp { .. }))
+        parent.filter(|&p| matches!(cluster.node(p).kind(), HeadKind::BorderUp { .. }))
     }
 
     fn children_rev(cluster: &Cluster, slot: u16) -> Vec<u16> {
         let mut kids = Vec::new();
-        let mut cur = cluster.node(slot).first_child;
+        let mut cur = cluster.node(slot).first_child();
         while let Some(s) = cur {
             kids.push(s);
-            cur = cluster.node(s).next_sibling;
+            cur = cluster.node(s).next_sibling();
         }
         kids.reverse();
         kids
@@ -235,7 +235,7 @@ impl StepCursor {
         match axis {
             Axis::SelfAxis => State::SelfPending(slot),
             Axis::Child => State::Chain {
-                cur: node.first_child,
+                cur: node.first_child(),
                 forward: true,
                 end_border: Self::chain_end(cluster, Some(slot)),
             },
@@ -244,11 +244,11 @@ impl StepCursor {
             },
             Axis::DescendantOrSelf => State::Dfs { stack: vec![slot] },
             Axis::Parent => State::Up {
-                cur: node.parent,
+                cur: node.parent(),
                 single: true,
             },
             Axis::Ancestor => State::Up {
-                cur: node.parent,
+                cur: node.parent(),
                 single: false,
             },
             Axis::AncestorOrSelf => State::Up {
@@ -256,24 +256,24 @@ impl StepCursor {
                 single: false,
             },
             Axis::FollowingSibling => State::Chain {
-                cur: node.next_sibling,
+                cur: node.next_sibling(),
                 forward: true,
-                end_border: Self::chain_end(cluster, node.parent),
+                end_border: Self::chain_end(cluster, node.parent()),
             },
             Axis::PrecedingSibling => State::Chain {
-                cur: node.prev_sibling,
+                cur: node.prev_sibling(),
                 forward: false,
-                end_border: Self::chain_end(cluster, node.parent),
+                end_border: Self::chain_end(cluster, node.parent()),
             },
             Axis::Following => State::Walk {
                 dfs: Vec::new(),
-                chain: node.next_sibling,
+                chain: node.next_sibling(),
                 climb: Some(slot),
                 forward: true,
             },
             Axis::Preceding => State::Walk {
                 dfs: Vec::new(),
-                chain: node.prev_sibling,
+                chain: node.prev_sibling(),
                 climb: Some(slot),
                 forward: false,
             },
@@ -282,8 +282,8 @@ impl StepCursor {
 
     fn resume_state(cluster: &Cluster, slot: u16, axis: Axis) -> State {
         let node = cluster.node(slot);
-        debug_assert!(node.kind.is_border(), "resume entry must be a proxy");
-        let is_up_proxy = matches!(node.kind, NodeKind::BorderUp { .. });
+        debug_assert!(node.kind().is_border(), "resume entry must be a proxy");
+        let is_up_proxy = matches!(node.kind(), HeadKind::BorderUp { .. });
         match axis {
             // `self` never crosses clusters; a speculative instance entering
             // here is dead.
@@ -291,7 +291,7 @@ impl StepCursor {
             // The proxy stands at the position of the remote context: its
             // children are the deferred child entries.
             Axis::Child => State::Chain {
-                cur: node.first_child,
+                cur: node.first_child(),
                 forward: true,
                 end_border: Self::chain_end(cluster, Some(slot)),
             },
@@ -299,11 +299,11 @@ impl StepCursor {
                 stack: Self::children_rev(cluster, slot),
             },
             Axis::Parent => State::Up {
-                cur: node.parent,
+                cur: node.parent(),
                 single: true,
             },
             Axis::Ancestor | Axis::AncestorOrSelf => State::Up {
-                cur: node.parent,
+                cur: node.parent(),
                 single: false,
             },
             Axis::Following | Axis::Preceding => {
@@ -320,9 +320,9 @@ impl StepCursor {
                     // Continue the document-order walk from the BorderDown
                     // proxy's structural position in this cluster.
                     let chain = if axis == Axis::Following {
-                        node.next_sibling
+                        node.next_sibling()
                     } else {
-                        node.prev_sibling
+                        node.prev_sibling()
                     };
                     State::Walk {
                         dfs: Vec::new(),
@@ -337,7 +337,7 @@ impl StepCursor {
                     // Descend into the continuation group: all of the
                     // proxy's children are siblings on the requested side.
                     State::Chain {
-                        cur: node.first_child,
+                        cur: node.first_child(),
                         forward: true,
                         end_border: Self::chain_end(cluster, Some(slot)),
                     }
@@ -345,14 +345,14 @@ impl StepCursor {
                     // Continue the chain in the parent cluster from the
                     // BorderDown proxy's position.
                     let cur = if axis == Axis::FollowingSibling {
-                        node.next_sibling
+                        node.next_sibling()
                     } else {
-                        node.prev_sibling
+                        node.prev_sibling()
                     };
                     State::Chain {
                         cur,
                         forward: axis == Axis::FollowingSibling,
-                        end_border: Self::chain_end(cluster, node.parent),
+                        end_border: Self::chain_end(cluster, node.parent()),
                     }
                 }
             }
@@ -375,10 +375,10 @@ impl StepCursor {
                     let node = self.cluster.node(slot);
                     charge.visit();
                     charge.test();
-                    if self.test.matches(&node.kind) {
+                    if self.test.matches(&node.kind()) {
                         return Some(StepItem::Match {
                             id: self.cluster.id(slot),
-                            order: node.order,
+                            order: node.order(),
                         });
                     }
                 }
@@ -391,12 +391,12 @@ impl StepCursor {
                         let node = self.cluster.node(s);
                         charge.visit();
                         *cur = if *forward {
-                            node.next_sibling
+                            node.next_sibling()
                         } else {
-                            node.prev_sibling
+                            node.prev_sibling()
                         };
-                        match &node.kind {
-                            NodeKind::BorderDown { target } => {
+                        match &node.kind() {
+                            HeadKind::BorderDown { target } => {
                                 charge.border();
                                 return Some(StepItem::Border {
                                     proxy: self.cluster.id(s),
@@ -408,7 +408,7 @@ impl StepCursor {
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
                                         id: self.cluster.id(s),
-                                        order: node.order,
+                                        order: node.order(),
                                     });
                                 }
                             }
@@ -417,7 +417,7 @@ impl StepCursor {
                     None => {
                         if let Some(p) = end_border.take() {
                             let node = self.cluster.node(p);
-                            if let NodeKind::BorderUp { target } = node.kind {
+                            if let HeadKind::BorderUp { target } = node.kind() {
                                 charge.border();
                                 self.state = State::Done;
                                 return Some(StepItem::Border {
@@ -433,8 +433,8 @@ impl StepCursor {
                     Some(s) => {
                         let node = self.cluster.node(s);
                         charge.visit();
-                        match &node.kind {
-                            NodeKind::BorderDown { target } => {
+                        match &node.kind() {
+                            HeadKind::BorderDown { target } => {
                                 charge.border();
                                 return Some(StepItem::Border {
                                     proxy: self.cluster.id(s),
@@ -443,17 +443,17 @@ impl StepCursor {
                             }
                             kind => {
                                 // Push children (reverse for document order).
-                                let mut kid = node.first_child;
+                                let mut kid = node.first_child();
                                 let at = stack.len();
                                 while let Some(k) = kid {
                                     stack.insert(at, k);
-                                    kid = self.cluster.node(k).next_sibling;
+                                    kid = self.cluster.node(k).next_sibling();
                                 }
                                 charge.test();
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
                                         id: self.cluster.id(s),
-                                        order: node.order,
+                                        order: node.order(),
                                     });
                                 }
                             }
@@ -470,8 +470,8 @@ impl StepCursor {
                     if let Some(s) = dfs.pop() {
                         let node = self.cluster.node(s);
                         charge.visit();
-                        match &node.kind {
-                            NodeKind::BorderDown { target } => {
+                        match &node.kind() {
+                            HeadKind::BorderDown { target } => {
                                 charge.border();
                                 return Some(StepItem::Border {
                                     proxy: self.cluster.id(s),
@@ -479,17 +479,17 @@ impl StepCursor {
                                 });
                             }
                             kind => {
-                                let mut kid = node.first_child;
+                                let mut kid = node.first_child();
                                 let at = dfs.len();
                                 while let Some(k) = kid {
                                     dfs.insert(at, k);
-                                    kid = self.cluster.node(k).next_sibling;
+                                    kid = self.cluster.node(k).next_sibling();
                                 }
                                 charge.test();
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
                                         id: self.cluster.id(s),
-                                        order: node.order,
+                                        order: node.order(),
                                     });
                                 }
                             }
@@ -498,12 +498,12 @@ impl StepCursor {
                         let node = self.cluster.node(s);
                         charge.visit();
                         *chain = if *forward {
-                            node.next_sibling
+                            node.next_sibling()
                         } else {
-                            node.prev_sibling
+                            node.prev_sibling()
                         };
-                        match &node.kind {
-                            NodeKind::BorderDown { target } => {
+                        match &node.kind() {
+                            HeadKind::BorderDown { target } => {
                                 charge.border();
                                 return Some(StepItem::Border {
                                     proxy: self.cluster.id(s),
@@ -513,13 +513,13 @@ impl StepCursor {
                             _ => dfs.push(s),
                         }
                     } else if let Some(c) = *climb {
-                        match self.cluster.node(c).parent {
+                        match self.cluster.node(c).parent() {
                             None => self.state = State::Done,
                             Some(p) => {
                                 let pnode = self.cluster.node(p);
                                 charge.visit();
-                                match &pnode.kind {
-                                    NodeKind::BorderUp { target } => {
+                                match &pnode.kind() {
+                                    HeadKind::BorderUp { target } => {
                                         charge.border();
                                         let target = *target;
                                         self.state = State::Done;
@@ -530,9 +530,9 @@ impl StepCursor {
                                     }
                                     _ => {
                                         *chain = if *forward {
-                                            pnode.next_sibling
+                                            pnode.next_sibling()
                                         } else {
-                                            pnode.prev_sibling
+                                            pnode.prev_sibling()
                                         };
                                         *climb = Some(p);
                                     }
@@ -547,8 +547,8 @@ impl StepCursor {
                     Some(s) => {
                         let node = self.cluster.node(s);
                         charge.visit();
-                        match &node.kind {
-                            NodeKind::BorderUp { target } => {
+                        match &node.kind() {
+                            HeadKind::BorderUp { target } => {
                                 charge.border();
                                 self.state = State::Done;
                                 return Some(StepItem::Border {
@@ -557,12 +557,12 @@ impl StepCursor {
                                 });
                             }
                             kind => {
-                                *cur = if *single { None } else { node.parent };
+                                *cur = if *single { None } else { node.parent() };
                                 charge.test();
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
                                         id: self.cluster.id(s),
-                                        order: node.order,
+                                        order: node.order(),
                                     });
                                 }
                             }
@@ -691,9 +691,9 @@ mod tests {
         let mut rank_to_id = std::collections::HashMap::new();
         for p in store.meta.page_range() {
             let c = store.fix(p);
-            for (slot, n) in c.nodes.iter().enumerate() {
-                if n.kind.is_core() {
-                    rank_to_id.insert(n.order, NodeId::new(p, slot as u16));
+            for (slot, n) in c.heads().iter().enumerate() {
+                if n.kind().is_core() {
+                    rank_to_id.insert(n.order(), NodeId::new(p, slot as u16));
                 }
             }
         }
@@ -841,17 +841,17 @@ mod tests {
         let mut table = SymbolTable::new();
         let a = table.intern("a");
         let t = ResolvedTest::resolve(&NodeTest::Name("a".into()), &table);
-        assert!(t.matches(&NodeKind::elem(a)));
-        assert!(!t.matches(&NodeKind::Text("x".into())));
+        assert!(t.matches(&HeadKind::Element { tag: a }));
+        assert!(!t.matches(&HeadKind::Text));
         let missing = ResolvedTest::resolve(&NodeTest::Name("zzz".into()), &table);
         assert_eq!(missing, ResolvedTest::Name(None));
-        assert!(!missing.matches(&NodeKind::elem(a)));
-        assert!(ResolvedTest::AnyNode.matches(&NodeKind::Text("x".into())));
-        assert!(!ResolvedTest::AnyNode.matches(&NodeKind::BorderDown {
+        assert!(!missing.matches(&HeadKind::Element { tag: a }));
+        assert!(ResolvedTest::AnyNode.matches(&HeadKind::Text));
+        assert!(!ResolvedTest::AnyNode.matches(&HeadKind::BorderDown {
             target: NodeId::new(0, 0)
         }));
-        assert!(ResolvedTest::Text.matches(&NodeKind::Text("x".into())));
-        assert!(!ResolvedTest::Text.matches(&NodeKind::elem(a)));
+        assert!(ResolvedTest::Text.matches(&HeadKind::Text));
+        assert!(!ResolvedTest::Text.matches(&HeadKind::Element { tag: a }));
     }
 
     #[test]

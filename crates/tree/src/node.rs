@@ -1,10 +1,22 @@
 //! Stored node records, clusters, and their page encoding.
 //!
-//! A cluster is the decoded form of one slotted page: a mini-tree of nodes
-//! addressed by slot number. Core nodes (elements, text) carry the logical
-//! document content; border nodes proxy edges to other clusters (§3.4).
+//! A cluster is one slotted page read as a mini-tree of nodes addressed by
+//! slot number. Core nodes (elements, text) carry the logical document
+//! content; border nodes proxy edges to other clusters (§3.4).
+//!
+//! A cluster has two forms:
+//!
+//! * The read side, [`Cluster`], is what the buffer caches: a structural
+//!   view over the page's pinned, checksum-verified image. A page miss
+//!   decodes only the fixed-width head of each record ([`NodeHead`]: kind,
+//!   tag, links, order key, border target) — everything navigation reads.
+//!   Text and attribute payloads stay in the image and are sliced out
+//!   zero-copy by [`Cluster::text`] and [`Cluster::attrs`].
+//! * The write side, [`OwnedCluster`] of [`Node`] records, is the owned,
+//!   mutable form the importer and the updater build and encode.
+//!   [`Cluster::materialize`] is the one bridge from the view to it.
 
-use pathix_storage::{PageId, SimClock, SlottedPageBuilder, SlottedPageReader};
+use pathix_storage::{PageId, SimClock, SlottedPageBuilder, SlottedPageReader, VerifiedPage};
 use pathix_xml::Symbol;
 use std::fmt;
 
@@ -44,7 +56,7 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Payload of a stored node.
+/// Payload of a stored node, in the owned record form.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeKind {
     /// Tombstone: a deleted record. Keeps slot numbers stable so border
@@ -85,31 +97,32 @@ impl NodeKind {
         }
     }
 
-    /// True for element/text core nodes.
-    pub fn is_core(&self) -> bool {
-        matches!(self, NodeKind::Element { .. } | NodeKind::Text(_))
+    /// The payload-free kind of this record.
+    pub fn head(&self) -> HeadKind {
+        match self {
+            NodeKind::Free => HeadKind::Free,
+            NodeKind::Element { tag, .. } => HeadKind::Element { tag: *tag },
+            NodeKind::Text(_) => HeadKind::Text,
+            NodeKind::BorderDown { target } => HeadKind::BorderDown { target: *target },
+            NodeKind::BorderUp { target } => HeadKind::BorderUp { target: *target },
+        }
     }
 
-    /// True for either border variant.
-    pub fn is_border(&self) -> bool {
-        matches!(
-            self,
-            NodeKind::BorderDown { .. } | NodeKind::BorderUp { .. }
-        )
+    /// True for element/text core nodes.
+    pub fn is_core(&self) -> bool {
+        self.head().is_core()
     }
 
     /// The companion border NodeId, for border nodes (the paper's
     /// `target(x)` operation, §3.4).
     pub fn target(&self) -> Option<NodeId> {
-        match self {
-            NodeKind::BorderDown { target } | NodeKind::BorderUp { target } => Some(*target),
-            _ => None,
-        }
+        self.head().target()
     }
 }
 
-/// One stored node: payload plus intra-cluster structure links and the
-/// document-order key (an ORDPATH-substitute preorder rank, §5.5).
+/// One stored node in the owned record form: payload plus intra-cluster
+/// structure links and the document-order key (an ORDPATH-substitute
+/// preorder rank, §5.5).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Node {
     /// Payload.
@@ -127,16 +140,17 @@ pub struct Node {
     pub order: u64,
 }
 
-/// Decoded form of one page: a mini-tree of nodes.
+/// The owned, mutable form of one cluster: what the importer and the
+/// updater build and [`encode_cluster`] serializes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cluster {
+pub struct OwnedCluster {
     /// The page this cluster lives on.
     pub page: PageId,
     /// Nodes by slot.
     pub nodes: Vec<Node>,
 }
 
-impl Cluster {
+impl OwnedCluster {
     /// Node at `slot`.
     ///
     /// # Panics
@@ -155,53 +169,86 @@ impl Cluster {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
+}
 
-    /// The global id of the node at `slot`.
-    pub fn id(&self, slot: u16) -> NodeId {
-        NodeId::new(self.page, slot)
+/// The payload-free kind of a node: what navigation matches on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HeadKind {
+    /// Tombstone (see [`NodeKind::Free`]).
+    Free,
+    /// Core element node; its attributes stay in the page image.
+    Element {
+        /// Interned tag.
+        tag: Symbol,
+    },
+    /// Core text node; its content stays in the page image.
+    Text,
+    /// Border node for a child subtree in another cluster.
+    BorderDown {
+        /// Companion `BorderUp` node.
+        target: NodeId,
+    },
+    /// Border node standing for the remote parent.
+    BorderUp {
+        /// Companion `BorderDown` node.
+        target: NodeId,
+    },
+}
+
+impl HeadKind {
+    /// True for element/text core nodes.
+    pub fn is_core(&self) -> bool {
+        matches!(self, HeadKind::Element { .. } | HeadKind::Text)
     }
 
-    /// Slots of all border nodes in the cluster (used by the speculative
-    /// instance generation of `XScan`/`XSchedule`).
-    pub fn border_slots(&self) -> impl Iterator<Item = u16> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.kind.is_border())
-            .map(|(i, _)| i as u16)
+    /// True for either border variant.
+    pub fn is_border(&self) -> bool {
+        matches!(
+            self,
+            HeadKind::BorderDown { .. } | HeadKind::BorderUp { .. }
+        )
     }
 
-    /// Number of core nodes.
-    pub fn core_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.kind.is_core()).count()
+    /// The companion border NodeId, for border nodes (the paper's
+    /// `target(x)` operation, §3.4).
+    pub fn target(&self) -> Option<NodeId> {
+        match self {
+            HeadKind::BorderDown { target } | HeadKind::BorderUp { target } => Some(*target),
+            _ => None,
+        }
     }
 }
 
 // --- encoding ---------------------------------------------------------
 //
 // Record layout (little endian):
-//   u8   kind (0 element, 1 text, 2 border-down, 3 border-up)
+//   u8   kind (0 element, 1 text, 2 border-down, 3 border-up, 4 free)
 //   u16  parent + 1        (0 = none)
 //   u16  first_child + 1
 //   u16  next_sibling + 1
 //   u16  prev_sibling + 1
 //   u64  order
 //   payload:
-//     element:     u32 tag symbol
+//     element:     u32 tag symbol, u16 attr count,
+//                  per attr: u32 name symbol, u16 len, bytes
 //     text:        u16 len, bytes
 //     border-*:    u32 target page, u16 target slot
+// A free record is the kind byte alone.
+
+const KIND_ELEMENT: u8 = 0;
+const KIND_TEXT: u8 = 1;
+const KIND_BORDER_DOWN: u8 = 2;
+const KIND_BORDER_UP: u8 = 3;
+const KIND_FREE: u8 = 4;
 
 const FIXED_HEAD: usize = 1 + 4 * 2 + 8;
 
 /// Exact encoded size of a node record (used by the importer's packing
 /// budget).
 pub fn encoded_size(kind: &NodeKind) -> usize {
-    if matches!(kind, NodeKind::Free) {
-        return 1;
-    }
     FIXED_HEAD
         + match kind {
-            NodeKind::Free => unreachable!(),
+            NodeKind::Free => return 1,
             NodeKind::Element { attrs, .. } => {
                 4 + 2 + attrs.iter().map(|(_, v)| 6 + v.len()).sum::<usize>()
             }
@@ -217,12 +264,12 @@ fn put_link(buf: &mut Vec<u8>, link: Option<u16>) {
 
 fn encode_node(node: &Node, buf: &mut Vec<u8>) {
     let kind_byte = match &node.kind {
-        NodeKind::Element { .. } => 0u8,
-        NodeKind::Text(_) => 1,
-        NodeKind::BorderDown { .. } => 2,
-        NodeKind::BorderUp { .. } => 3,
+        NodeKind::Element { .. } => KIND_ELEMENT,
+        NodeKind::Text(_) => KIND_TEXT,
+        NodeKind::BorderDown { .. } => KIND_BORDER_DOWN,
+        NodeKind::BorderUp { .. } => KIND_BORDER_UP,
         NodeKind::Free => {
-            buf.push(4);
+            buf.push(KIND_FREE);
             return;
         }
     };
@@ -262,7 +309,7 @@ fn encode_node(node: &Node, buf: &mut Vec<u8>) {
 /// # Panics
 /// Panics if the cluster exceeds the page size; the importer's budget
 /// arithmetic guarantees it never does.
-pub fn encode_cluster(cluster: &Cluster, page_size: usize) -> Vec<u8> {
+pub fn encode_cluster(cluster: &OwnedCluster, page_size: usize) -> Vec<u8> {
     let mut builder = SlottedPageBuilder::new(page_size);
     let mut buf = Vec::with_capacity(64);
     for node in &cluster.nodes {
@@ -277,157 +324,503 @@ fn get_u16(b: &[u8], at: usize) -> u16 {
     u16::from_le_bytes([b[at], b[at + 1]])
 }
 
-fn get_link(b: &[u8], at: usize) -> Option<u16> {
-    match get_u16(b, at) {
-        0 => None,
-        v => Some(v - 1),
+fn get_u32(b: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]])
+}
+
+/// The length-prefixed UTF-8 string at `at` in `rec` and the offset just
+/// past it; `None` if it runs past the record or is not UTF-8.
+fn str_at(rec: &[u8], at: usize) -> Option<(&str, usize)> {
+    let len = usize::from(get_u16(rec.get(at..at + 2)?, 0));
+    let end = at + 2 + len;
+    let text = std::str::from_utf8(rec.get(at + 2..end)?).ok()?;
+    Some((text, end))
+}
+
+// --- the read side ----------------------------------------------------
+
+/// The fixed-width head of one stored record: everything navigation reads,
+/// and no payload. `Copy`, and at most 24 bytes, so a cluster's heads are
+/// one flat allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeHead {
+    order: u64,
+    /// Parent, first child, next sibling, previous sibling, each stored as
+    /// on the page: slot + 1, with 0 for none.
+    links: [u16; 4],
+    /// Element tag symbol, or border target page.
+    arg: u32,
+    /// Border target slot.
+    target_slot: u16,
+    /// Record kind byte (`KIND_*`).
+    kind: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<NodeHead>() <= 24);
+
+impl NodeHead {
+    fn decode(rec: &[u8]) -> Self {
+        let kind = rec[0];
+        if kind == KIND_FREE {
+            return Self {
+                order: 0,
+                links: [0; 4],
+                arg: 0,
+                target_slot: 0,
+                kind,
+            };
+        }
+        let (arg, target_slot) = match kind {
+            KIND_ELEMENT => (get_u32(rec, 17), 0),
+            KIND_TEXT => (0, 0),
+            KIND_BORDER_DOWN | KIND_BORDER_UP => (get_u32(rec, 17), get_u16(rec, 21)),
+            other => panic!("corrupt node record: kind {other}"),
+        };
+        Self {
+            order: u64::from_le_bytes(rec[9..17].try_into().expect("order bytes")),
+            links: [
+                get_u16(rec, 1),
+                get_u16(rec, 3),
+                get_u16(rec, 5),
+                get_u16(rec, 7),
+            ],
+            arg,
+            target_slot,
+            kind,
+        }
+    }
+
+    /// The node's payload-free kind.
+    #[inline]
+    pub fn kind(&self) -> HeadKind {
+        let target = NodeId::new(self.arg, self.target_slot);
+        match self.kind {
+            KIND_ELEMENT => HeadKind::Element {
+                tag: Symbol(self.arg),
+            },
+            KIND_TEXT => HeadKind::Text,
+            KIND_BORDER_DOWN => HeadKind::BorderDown { target },
+            KIND_BORDER_UP => HeadKind::BorderUp { target },
+            _ => HeadKind::Free,
+        }
+    }
+
+    #[inline]
+    fn link(&self, i: usize) -> Option<u16> {
+        self.links[i].checked_sub(1)
+    }
+
+    /// Parent slot within this cluster (`None` for the cluster root).
+    #[inline]
+    pub fn parent(&self) -> Option<u16> {
+        self.link(0)
+    }
+
+    /// First child slot within this cluster.
+    #[inline]
+    pub fn first_child(&self) -> Option<u16> {
+        self.link(1)
+    }
+
+    /// Next sibling slot within this cluster.
+    #[inline]
+    pub fn next_sibling(&self) -> Option<u16> {
+        self.link(2)
+    }
+
+    /// Previous sibling slot within this cluster.
+    #[inline]
+    pub fn prev_sibling(&self) -> Option<u16> {
+        self.link(3)
+    }
+
+    /// Document preorder rank (see [`Node::order`]).
+    #[inline]
+    pub fn order(&self) -> u64 {
+        self.order
     }
 }
 
-fn decode_node(rec: &[u8]) -> Node {
-    let kind_byte = rec[0];
-    if kind_byte == 4 {
-        return Node {
-            kind: NodeKind::Free,
-            parent: None,
-            first_child: None,
-            next_sibling: None,
-            prev_sibling: None,
-            order: 0,
-        };
+/// A payload read that found no valid payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PayloadError {
+    /// The node has no payload of the requested kind (e.g. `text` on an
+    /// element).
+    WrongKind(NodeId),
+    /// The payload runs past its record or is not valid UTF-8.
+    Malformed(NodeId),
+}
+
+impl fmt::Display for PayloadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PayloadError::WrongKind(id) => write!(f, "node {id} has no such payload"),
+            PayloadError::Malformed(id) => write!(f, "node {id} has a malformed payload"),
+        }
     }
-    let parent = get_link(rec, 1);
-    let first_child = get_link(rec, 3);
-    let next_sibling = get_link(rec, 5);
-    let prev_sibling = get_link(rec, 7);
-    let order = u64::from_le_bytes(rec[9..17].try_into().expect("order bytes"));
-    let kind = match kind_byte {
-        0 => {
-            let tag = Symbol(u32::from_le_bytes(
-                rec[17..21].try_into().expect("tag bytes"),
-            ));
-            let n_attrs = get_u16(rec, 21) as usize;
-            let mut at = 23;
-            let mut attrs = Vec::with_capacity(n_attrs);
-            for _ in 0..n_attrs {
-                let name = Symbol(u32::from_le_bytes(
-                    rec[at..at + 4].try_into().expect("attr sym"),
-                ));
-                let len = get_u16(rec, at + 4) as usize;
-                at += 6;
-                let value = std::str::from_utf8(&rec[at..at + len])
-                    .expect("valid UTF-8 attr value")
-                    .into();
-                at += len;
-                attrs.push((name, value));
-            }
-            NodeKind::Element {
-                tag,
-                attrs: attrs.into_boxed_slice(),
-            }
+}
+
+impl std::error::Error for PayloadError {}
+
+/// The cached read-side form of one page: the node heads of its records
+/// plus the pinned, verified page image their payloads are read from.
+#[derive(Debug)]
+pub struct Cluster {
+    /// The page this cluster lives on.
+    pub page: PageId,
+    image: VerifiedPage,
+    heads: Box<[NodeHead]>,
+}
+
+impl Cluster {
+    /// Node head at `slot`.
+    ///
+    /// # Panics
+    /// Panics if the slot is out of range.
+    #[inline]
+    pub fn node(&self, slot: u16) -> &NodeHead {
+        &self.heads[slot as usize]
+    }
+
+    /// All node heads, by slot.
+    pub fn heads(&self) -> &[NodeHead] {
+        &self.heads
+    }
+
+    /// Number of nodes in the cluster.
+    pub fn len(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// True if the cluster holds no nodes.
+    pub fn is_empty(&self) -> bool {
+        self.heads.is_empty()
+    }
+
+    /// The global id of the node at `slot`.
+    pub fn id(&self, slot: u16) -> NodeId {
+        NodeId::new(self.page, slot)
+    }
+
+    /// Slots of all border nodes in the cluster (used by the speculative
+    /// instance generation of `XScan`/`XSchedule`).
+    pub fn border_slots(&self) -> impl Iterator<Item = u16> + '_ {
+        self.heads
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.kind().is_border())
+            .map(|(i, _)| i as u16)
+    }
+
+    /// Number of core nodes.
+    pub fn core_count(&self) -> usize {
+        self.heads.iter().filter(|n| n.kind().is_core()).count()
+    }
+
+    /// The encoded record at `slot` if it has kind `kind`.
+    fn record(&self, slot: u16, kind: u8) -> Result<&[u8], PayloadError> {
+        match self.heads.get(slot as usize) {
+            Some(head) if head.kind == kind => Ok(SlottedPageReader::new(&self.image).record(slot)),
+            _ => Err(PayloadError::WrongKind(self.id(slot))),
         }
-        1 => {
-            let len = get_u16(rec, 17) as usize;
-            let text = std::str::from_utf8(&rec[19..19 + len])
-                .expect("valid UTF-8 text record")
-                .into();
-            NodeKind::Text(text)
+    }
+
+    /// The content of the text node at `slot`, read from the page image
+    /// without copying. The bytes are UTF-8 checked here; an invalid
+    /// payload is an error, never a `&str`.
+    pub fn text(&self, slot: u16) -> Result<&str, PayloadError> {
+        let rec = self.record(slot, KIND_TEXT)?;
+        str_at(rec, FIXED_HEAD)
+            .map(|(text, _)| text)
+            .ok_or(PayloadError::Malformed(self.id(slot)))
+    }
+
+    /// The attributes of the element at `slot`, values read from the page
+    /// image without copying. Every value is UTF-8 checked before the
+    /// first one is yielded.
+    pub fn attrs(
+        &self,
+        slot: u16,
+    ) -> Result<impl Iterator<Item = (Symbol, &str)> + '_, PayloadError> {
+        let rec = self.record(slot, KIND_ELEMENT)?;
+        let malformed = PayloadError::Malformed(self.id(slot));
+        let count = rec
+            .get(FIXED_HEAD + 4..FIXED_HEAD + 6)
+            .map(|b| get_u16(b, 0))
+            .ok_or(malformed)?;
+        let mut attrs = Vec::new();
+        let mut at = FIXED_HEAD + 6;
+        for _ in 0..count {
+            let name = rec.get(at..at + 4).ok_or(malformed)?;
+            let (value, end) = str_at(rec, at + 4).ok_or(malformed)?;
+            attrs.push((Symbol(get_u32(name, 0)), value));
+            at = end;
         }
-        2 | 3 => {
-            let page = u32::from_le_bytes(rec[17..21].try_into().expect("page bytes"));
-            let slot = get_u16(rec, 21);
-            let target = NodeId::new(page, slot);
-            if kind_byte == 2 {
-                NodeKind::BorderDown { target }
-            } else {
-                NodeKind::BorderUp { target }
-            }
+        Ok(attrs.into_iter())
+    }
+
+    /// Materializes the owned record form of this cluster, copying every
+    /// payload out of the image. This is the one bridge from the read
+    /// side to the write side; the updater uses it to modify a page.
+    pub fn materialize(&self) -> Result<OwnedCluster, PayloadError> {
+        let mut nodes = Vec::with_capacity(self.heads.len());
+        for (slot, head) in (0u16..).zip(self.heads.iter()) {
+            let kind = match head.kind() {
+                HeadKind::Free => NodeKind::Free,
+                HeadKind::Element { tag } => NodeKind::Element {
+                    tag,
+                    attrs: self.attrs(slot)?.map(|(n, v)| (n, v.into())).collect(),
+                },
+                HeadKind::Text => NodeKind::Text(self.text(slot)?.into()),
+                HeadKind::BorderDown { target } => NodeKind::BorderDown { target },
+                HeadKind::BorderUp { target } => NodeKind::BorderUp { target },
+            };
+            nodes.push(Node {
+                kind,
+                parent: head.parent(),
+                first_child: head.first_child(),
+                next_sibling: head.next_sibling(),
+                prev_sibling: head.prev_sibling(),
+                order: head.order(),
+            });
         }
-        other => panic!("corrupt node record: kind {other}"),
-    };
-    Node {
-        kind,
-        parent,
-        first_child,
-        next_sibling,
-        prev_sibling,
-        order,
+        Ok(OwnedCluster {
+            page: self.page,
+            nodes,
+        })
     }
 }
 
 /// CPU cost of decoding one node record (representation change, §3.6).
 pub const DECODE_NODE_NS: u64 = 700;
 
-/// Deserializes page bytes into a cluster, charging decode cost.
-pub fn decode_cluster(page: PageId, bytes: &[u8], clock: &SimClock) -> Cluster {
-    let reader = SlottedPageReader::new(bytes);
-    let mut nodes = Vec::with_capacity(reader.len());
-    for rec in reader.iter() {
-        nodes.push(decode_node(rec));
+/// Decodes a verified page image into a cluster view, charging the
+/// representation-change cost of every record. Only the record heads are
+/// decoded; the cluster pins `image` for its payloads.
+pub fn decode_cluster(page: PageId, image: &VerifiedPage, clock: &SimClock) -> Cluster {
+    let heads: Box<[NodeHead]> = SlottedPageReader::new(image)
+        .iter()
+        .map(NodeHead::decode)
+        .collect();
+    clock.charge_cpu(DECODE_NODE_NS * heads.len() as u64);
+    Cluster {
+        page,
+        image: image.clone(),
+        heads,
     }
-    clock.charge_cpu(DECODE_NODE_NS * nodes.len() as u64);
-    Cluster { page, nodes }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    // Test assertions panic by design; R3 covers the non-test hot path.
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-    fn sample_cluster() -> Cluster {
-        Cluster {
+    use super::*;
+    use pathix_storage::{seal_page, verify_image};
+
+    fn node(kind: NodeKind, links: [Option<u16>; 4], order: u64) -> Node {
+        let [parent, first_child, next_sibling, prev_sibling] = links;
+        Node {
+            kind,
+            parent,
+            first_child,
+            next_sibling,
+            prev_sibling,
+            order,
+        }
+    }
+
+    fn sample_cluster() -> OwnedCluster {
+        OwnedCluster {
             page: 7,
             nodes: vec![
-                Node {
-                    kind: NodeKind::BorderUp {
+                node(
+                    NodeKind::BorderUp {
                         target: NodeId::new(3, 9),
                     },
-                    parent: None,
-                    first_child: Some(1),
-                    next_sibling: None,
-                    prev_sibling: None,
-                    order: 41,
-                },
-                Node {
-                    kind: NodeKind::Element {
+                    [None, Some(1), None, None],
+                    41,
+                ),
+                node(
+                    NodeKind::Element {
                         tag: Symbol(12),
                         attrs: Box::new([(Symbol(3), "v1".into())]),
                     },
-                    parent: Some(0),
-                    first_child: Some(2),
-                    next_sibling: None,
-                    prev_sibling: None,
-                    order: 42,
-                },
-                Node {
-                    kind: NodeKind::Text("hello world".into()),
-                    parent: Some(1),
-                    first_child: None,
-                    next_sibling: Some(3),
-                    prev_sibling: None,
-                    order: 43,
-                },
-                Node {
-                    kind: NodeKind::BorderDown {
+                    [Some(0), Some(2), None, None],
+                    42,
+                ),
+                node(
+                    NodeKind::Text("hello world".into()),
+                    [Some(1), None, Some(3), None],
+                    43,
+                ),
+                node(
+                    NodeKind::BorderDown {
                         target: NodeId::new(9, 0),
                     },
-                    parent: Some(1),
-                    first_child: None,
-                    next_sibling: None,
-                    prev_sibling: Some(2),
-                    order: 44,
-                },
+                    [Some(1), None, None, Some(2)],
+                    44,
+                ),
             ],
         }
     }
 
+    /// Encodes, seals and verifies `c`, then decodes the view of it.
+    fn view(c: &OwnedCluster, page_size: usize, clock: &SimClock) -> Cluster {
+        let mut bytes = encode_cluster(c, page_size);
+        seal_page(&mut bytes);
+        let image = verify_image(bytes.into()).expect("freshly sealed page");
+        decode_cluster(c.page, &image, clock)
+    }
+
+    /// Checks the view of `c` against `c` itself: every head, every
+    /// payload, and the materialization.
+    fn assert_view_matches(c: &OwnedCluster, page_size: usize) {
+        let clock = SimClock::new();
+        let v = view(c, page_size, &clock);
+        assert_eq!(clock.cpu_ns(), DECODE_NODE_NS * c.len() as u64);
+        assert_eq!(v.len(), c.len());
+        for (slot, (head, node)) in (0u16..).zip(v.heads().iter().zip(&c.nodes)) {
+            assert_eq!(head.kind(), node.kind.head(), "slot {slot}");
+            if node.kind != NodeKind::Free {
+                assert_eq!(head.parent(), node.parent);
+                assert_eq!(head.first_child(), node.first_child);
+                assert_eq!(head.next_sibling(), node.next_sibling);
+                assert_eq!(head.prev_sibling(), node.prev_sibling);
+                assert_eq!(head.order(), node.order);
+            }
+            match &node.kind {
+                NodeKind::Text(t) => {
+                    assert_eq!(v.text(slot), Ok(&**t));
+                    assert!(v.attrs(slot).is_err());
+                }
+                NodeKind::Element { attrs, .. } => {
+                    let got: Vec<(Symbol, &str)> = v.attrs(slot).unwrap().collect();
+                    let want: Vec<(Symbol, &str)> = attrs.iter().map(|(n, s)| (*n, &**s)).collect();
+                    assert_eq!(got, want);
+                    assert_eq!(v.text(slot), Err(PayloadError::WrongKind(v.id(slot))));
+                }
+                _ => {
+                    assert!(v.text(slot).is_err());
+                    assert!(v.attrs(slot).is_err());
+                }
+            }
+        }
+        // Tombstones materialize with cleared links, as they encode.
+        let mut want = c.clone();
+        for n in want.nodes.iter_mut().filter(|n| n.kind == NodeKind::Free) {
+            *n = node(NodeKind::Free, [None; 4], 0);
+        }
+        assert_eq!(v.materialize().unwrap(), want);
+    }
+
     #[test]
     fn encode_decode_roundtrip() {
-        let c = sample_cluster();
-        let bytes = encode_cluster(&c, 4096);
-        let clock = SimClock::new();
-        let back = decode_cluster(7, &bytes, &clock);
-        assert_eq!(c, back);
-        assert_eq!(clock.cpu_ns(), DECODE_NODE_NS * 4);
+        assert_view_matches(&sample_cluster(), 4096);
+    }
+
+    #[test]
+    fn edge_case_payloads_roundtrip() {
+        let long = "é".repeat(32_000) + "x"; // 64,001 bytes, near the u16 limit
+        let many: Box<[(Symbol, Box<str>)]> = (0..200)
+            .map(|i| (Symbol(i), format!("v{i}·ü").into()))
+            .collect();
+        let c = OwnedCluster {
+            page: 2,
+            nodes: vec![
+                node(NodeKind::elem(Symbol(1)), [None, Some(1), None, None], 10),
+                node(
+                    NodeKind::Text("".into()),
+                    [Some(0), None, Some(2), None],
+                    11,
+                ),
+                node(
+                    NodeKind::Text("日本語 ✓ 𝄞".into()),
+                    [Some(0), None, Some(3), Some(1)],
+                    12,
+                ),
+                node(
+                    NodeKind::Element {
+                        tag: Symbol(u32::MAX),
+                        attrs: many,
+                    },
+                    [Some(0), None, Some(5), Some(2)],
+                    14,
+                ),
+                node(NodeKind::Free, [Some(0), Some(1), Some(5), None], 99),
+                node(
+                    NodeKind::BorderDown {
+                        target: NodeId::new(u32::MAX, u16::MAX),
+                    },
+                    [Some(0), None, None, Some(3)],
+                    u64::MAX,
+                ),
+                node(
+                    NodeKind::BorderUp {
+                        target: NodeId::new(0, 0),
+                    },
+                    [None; 4],
+                    0,
+                ),
+            ],
+        };
+        assert_view_matches(&c, 1 << 16);
+        let c = OwnedCluster {
+            page: 3,
+            nodes: vec![
+                node(NodeKind::elem(Symbol(1)), [None, Some(1), None, None], 10),
+                node(NodeKind::Text(long.into()), [Some(0), None, None, None], 11),
+            ],
+        };
+        assert_view_matches(&c, 1 << 16);
+    }
+
+    #[test]
+    fn invalid_utf8_payload_is_an_error() {
+        let c = OwnedCluster {
+            page: 1,
+            nodes: vec![
+                node(NodeKind::Text("abcd".into()), [None; 4], 1),
+                node(
+                    NodeKind::Element {
+                        tag: Symbol(0),
+                        attrs: Box::new([(Symbol(1), "wxyz".into())]),
+                    },
+                    [None; 4],
+                    2,
+                ),
+            ],
+        };
+        let mut bytes = encode_cluster(&c, 256);
+        for needle in [&b"abcd"[..], &b"wxyz"[..]] {
+            let at = bytes.windows(4).position(|w| w == needle).unwrap();
+            bytes[at + 1] = 0xFF; // never valid in UTF-8
+        }
+        seal_page(&mut bytes);
+        let image = verify_image(bytes.into()).unwrap();
+        let v = decode_cluster(1, &image, &SimClock::new());
+        assert_eq!(v.text(0), Err(PayloadError::Malformed(NodeId::new(1, 0))));
+        assert!(matches!(v.attrs(1), Err(PayloadError::Malformed(_))));
+        assert_eq!(
+            v.materialize(),
+            Err(PayloadError::Malformed(NodeId::new(1, 0)))
+        );
+        // The structure is intact: navigation never reads the payload.
+        assert_eq!(v.node(1).kind(), HeadKind::Element { tag: Symbol(0) });
+
+        // A text record cut off before its length prefix, and one whose
+        // length runs past the record.
+        let mut page = SlottedPageBuilder::new(128);
+        let mut rec = vec![KIND_TEXT];
+        rec.extend_from_slice(&[0; 16]);
+        page.push(&rec);
+        rec.extend_from_slice(&9u16.to_le_bytes());
+        rec.extend_from_slice(b"short");
+        page.push(&rec);
+        let image = verify_image(page.finish().into()).unwrap();
+        let v = decode_cluster(4, &image, &SimClock::new());
+        assert_eq!(v.text(0), Err(PayloadError::Malformed(NodeId::new(4, 0))));
+        assert_eq!(v.text(1), Err(PayloadError::Malformed(NodeId::new(4, 1))));
     }
 
     #[test]
@@ -442,14 +835,14 @@ mod tests {
 
     #[test]
     fn border_helpers() {
-        let c = sample_cluster();
+        let c = view(&sample_cluster(), 4096, &SimClock::new());
         let borders: Vec<u16> = c.border_slots().collect();
         assert_eq!(borders, vec![0, 3]);
         assert_eq!(c.core_count(), 2);
-        assert_eq!(c.node(0).kind.target(), Some(NodeId::new(3, 9)));
-        assert_eq!(c.node(1).kind.target(), None);
-        assert!(c.node(3).kind.is_border());
-        assert!(c.node(1).kind.is_core());
+        assert_eq!(c.node(0).kind().target(), Some(NodeId::new(3, 9)));
+        assert_eq!(c.node(1).kind().target(), None);
+        assert!(c.node(3).kind().is_border());
+        assert!(c.node(1).kind().is_core());
     }
 
     #[test]
@@ -461,13 +854,12 @@ mod tests {
 
     #[test]
     fn empty_cluster_roundtrip() {
-        let c = Cluster {
+        let c = OwnedCluster {
             page: 0,
             nodes: vec![],
         };
-        let bytes = encode_cluster(&c, 128);
-        let clock = SimClock::new();
-        let back = decode_cluster(0, &bytes, &clock);
+        let back = view(&c, 128, &SimClock::new());
         assert!(back.is_empty());
+        assert_eq!(back.materialize().unwrap(), c);
     }
 }

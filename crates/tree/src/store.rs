@@ -1,8 +1,8 @@
-//! The tree store: metadata + buffer-managed access to decoded clusters.
+//! The tree store: metadata + buffer-managed access to cluster views.
 
 use crate::node::{decode_cluster, Cluster, NodeId};
 use pathix_storage::{
-    BufferManager, BufferParams, Device, IoError, PageId, SimClock, WriteAheadLog,
+    BufferManager, BufferParams, Device, IoError, PageId, SimClock, VerifiedPage, WriteAheadLog,
 };
 use pathix_xml::SymbolTable;
 use std::cell::{Cell, RefCell};
@@ -61,8 +61,8 @@ impl TreeMeta {
 pub struct ClusterDecoder;
 
 impl pathix_storage::PageDecoder<Cluster> for ClusterDecoder {
-    fn decode(&self, page: PageId, bytes: &[u8], clock: &SimClock) -> Cluster {
-        decode_cluster(page, bytes, clock)
+    fn decode(&self, page: PageId, image: &VerifiedPage, clock: &SimClock) -> Cluster {
+        decode_cluster(page, image, clock)
     }
 }
 
@@ -71,7 +71,7 @@ impl pathix_storage::PageDecoder<Cluster> for ClusterDecoder {
 pub struct TreeStore {
     /// Document metadata.
     pub meta: TreeMeta,
-    /// Buffer manager caching decoded clusters.
+    /// Buffer manager caching cluster views.
     pub buffer: BufferManager<Cluster, ClusterDecoder>,
     /// Optional write-ahead log: when attached, every page update is logged
     /// before it is written (see `pathix_storage::wal`).
@@ -193,7 +193,7 @@ mod tests {
 
     use super::*;
     use crate::import::{import_into, ImportConfig, Placement};
-    use crate::node::NodeKind;
+    use crate::node::HeadKind;
     use pathix_storage::MemDevice;
 
     fn store_for(doc: &pathix_xml::Document, page_size: usize) -> TreeStore {
@@ -217,15 +217,10 @@ mod tests {
         doc.add_element(doc.root(), "a");
         let store = store_for(&doc, 4096);
         let cluster = store.fix_node(store.root());
-        let root = cluster.node(store.root().slot);
-        assert!(matches!(root.kind, NodeKind::Element { .. }));
-        assert_eq!(
-            store.meta.symbols.name(match &root.kind {
-                NodeKind::Element { tag, .. } => *tag,
-                _ => unreachable!(),
-            }),
-            "r"
-        );
+        let HeadKind::Element { tag } = cluster.node(store.root().slot).kind() else {
+            panic!("the root is an element");
+        };
+        assert_eq!(store.meta.symbols.name(tag), "r");
     }
 
     #[test]

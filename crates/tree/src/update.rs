@@ -19,7 +19,10 @@
 //!   therefore *fragment* the physical layout over time, which is the
 //!   premise of the paper's introduction (see the `aging` experiment).
 
-use crate::node::{encode_cluster, encoded_size, Cluster, Node, NodeId, NodeKind};
+use crate::node::{
+    encode_cluster, encoded_size, Cluster, HeadKind, Node, NodeId, NodeKind, OwnedCluster,
+    PayloadError,
+};
 use crate::store::TreeStore;
 use pathix_storage::{seal_page, PageId, CHECKSUM_LEN};
 use pathix_xml::Symbol;
@@ -40,6 +43,8 @@ pub enum UpdateError {
     /// Structural misuse (inserting under a text node, deleting the root,
     /// text update on an element, …).
     InvalidTarget(&'static str),
+    /// A stored payload on a page to be rewritten is malformed.
+    Payload(PayloadError),
 }
 
 impl fmt::Display for UpdateError {
@@ -50,11 +55,18 @@ impl fmt::Display for UpdateError {
             }
             UpdateError::ClusterFull { page } => write!(f, "page {page} is full"),
             UpdateError::InvalidTarget(m) => write!(f, "invalid update target: {m}"),
+            UpdateError::Payload(e) => write!(f, "cannot rewrite page: {e}"),
         }
     }
 }
 
 impl std::error::Error for UpdateError {}
+
+impl From<PayloadError> for UpdateError {
+    fn from(e: PayloadError) -> Self {
+        UpdateError::Payload(e)
+    }
+}
 
 /// Where to insert a new node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,16 +100,18 @@ impl<'a> TreeUpdater<'a> {
         Self { store }
     }
 
-    fn load(&self, page: PageId) -> Cluster {
-        (*self.store.fix(page)).clone()
+    /// The owned, editable records of `page`, materialized from its
+    /// cached view.
+    fn load(&self, page: PageId) -> Result<OwnedCluster, UpdateError> {
+        Ok(self.store.fix(page).materialize()?)
     }
 
     /// Encoded byte size of a cluster, including the slot directory.
-    fn cluster_bytes(c: &Cluster) -> usize {
+    fn cluster_bytes(c: &OwnedCluster) -> usize {
         2 + (c.len() + 1) * 2 + c.nodes.iter().map(|n| encoded_size(&n.kind)).sum::<usize>()
     }
 
-    fn write(&self, cluster: &Cluster) {
+    fn write(&self, cluster: &OwnedCluster) {
         let page_size = self.store.buffer.device_mut().page_size();
         debug_assert!(Self::cluster_bytes(cluster) <= page_size - CHECKSUM_LEN);
         let mut bytes = encode_cluster(cluster, page_size);
@@ -123,7 +137,7 @@ impl<'a> TreeUpdater<'a> {
         }
     }
 
-    fn fits(&self, cluster: &Cluster, extra: &NodeKind) -> bool {
+    fn fits(&self, cluster: &OwnedCluster, extra: &NodeKind) -> bool {
         let page_size = self.store.buffer.device_mut().page_size();
         Self::cluster_bytes(cluster) + 2 + encoded_size(extra) <= page_size - CHECKSUM_LEN
     }
@@ -135,17 +149,16 @@ impl<'a> TreeUpdater<'a> {
         let mut s = slot;
         loop {
             let node = cl.node(s);
-            if let NodeKind::BorderDown { target } = &node.kind {
-                let target = *target;
+            if let HeadKind::BorderDown { target } = node.kind() {
                 cl = self.store.fix(target.page);
                 s = target.slot;
                 continue;
             }
-            match node.first_child {
-                None => return node.order,
+            match node.first_child() {
+                None => return node.order(),
                 Some(first) => {
                     let mut c = first;
-                    while let Some(n) = cl.node(c).next_sibling {
+                    while let Some(n) = cl.node(c).next_sibling() {
                         c = n;
                     }
                     s = c;
@@ -161,13 +174,12 @@ impl<'a> TreeUpdater<'a> {
         let mut s = slot;
         loop {
             let node = cl.node(s);
-            if let Some(ns) = node.next_sibling {
-                return Some(cl.node(ns).order);
+            if let Some(ns) = node.next_sibling() {
+                return Some(cl.node(ns).order());
             }
-            match node.parent {
+            match node.parent() {
                 Some(p) => {
-                    if let NodeKind::BorderUp { target } = &cl.node(p).kind {
-                        let target = *target;
+                    if let HeadKind::BorderUp { target } = cl.node(p).kind() {
                         cl = self.store.fix(target.page);
                         s = target.slot;
                     } else {
@@ -226,34 +238,34 @@ impl<'a> TreeUpdater<'a> {
             InsertPos::FirstChildOf(p) => {
                 let cl = self.store.fix(p.page);
                 let parent = cl.node(p.slot);
-                if !matches!(parent.kind, NodeKind::Element { .. }) {
+                if !matches!(parent.kind(), HeadKind::Element { .. }) {
                     return Err(UpdateError::InvalidTarget(
                         "children can only be inserted under elements",
                     ));
                 }
-                let lo = parent.order;
-                let hi = match parent.first_child {
-                    Some(fc) => Some(cl.node(fc).order),
+                let lo = parent.order();
+                let hi = match parent.first_child() {
+                    Some(fc) => Some(cl.node(fc).order()),
                     None => self.successor_key(&cl, p.slot),
                 };
-                ((*cl).clone(), p.slot, None, lo, hi)
+                (cl.materialize()?, p.slot, None, lo, hi)
             }
             InsertPos::After(s) => {
                 let cl = self.store.fix(s.page);
                 let node = cl.node(s.slot);
-                if !node.kind.is_core() {
+                if !node.kind().is_core() {
                     return Err(UpdateError::InvalidTarget(
                         "insert-after target must be a core node",
                     ));
                 }
-                let Some(parent_slot) = node.parent else {
+                let Some(parent_slot) = node.parent() else {
                     return Err(UpdateError::InvalidTarget(
                         "cannot insert a sibling of the document root",
                     ));
                 };
                 let lo = self.subtree_last_key(&cl, s.slot);
                 let hi = self.successor_key(&cl, s.slot);
-                ((*cl).clone(), parent_slot, Some(s.slot), lo, hi)
+                (cl.materialize()?, parent_slot, Some(s.slot), lo, hi)
             }
         };
         let order = Self::midpoint(lo, hi)?;
@@ -296,7 +308,7 @@ impl<'a> TreeUpdater<'a> {
             pred_slot,
             order,
         );
-        let mut fresh = Cluster {
+        let mut fresh = OwnedCluster {
             page: new_page,
             nodes: Vec::new(),
         };
@@ -330,7 +342,7 @@ impl<'a> TreeUpdater<'a> {
     /// NodeIDs stay valid) whose companion `BorderUp` + record land on the
     /// overflow page. This is how update-time space management fragments a
     /// database over time.
-    fn make_room(&mut self, cluster: &mut Cluster, needed: usize) -> Result<(), UpdateError> {
+    fn make_room(&mut self, cluster: &mut OwnedCluster, needed: usize) -> Result<(), UpdateError> {
         let page_size = self.store.buffer.device_mut().page_size();
         let border_bytes = encoded_size(&NodeKind::BorderDown {
             target: NodeId::new(0, 0),
@@ -355,7 +367,7 @@ impl<'a> TreeUpdater<'a> {
             dev.append_page(Vec::new())
         };
         self.store.meta.page_count += 1;
-        let mut overflow = Cluster {
+        let mut overflow = OwnedCluster {
             page: overflow_page,
             nodes: Vec::new(),
         };
@@ -403,7 +415,7 @@ impl<'a> TreeUpdater<'a> {
     /// Splices a new record into `cluster` under `parent_slot`, after
     /// `pred_slot` (or at the head of the child chain).
     fn splice(
-        cluster: &mut Cluster,
+        cluster: &mut OwnedCluster,
         kind: NodeKind,
         parent_slot: u16,
         pred_slot: Option<u16>,
@@ -434,7 +446,7 @@ impl<'a> TreeUpdater<'a> {
 
     /// Replaces the content of a stored text node in place.
     pub fn update_text(&mut self, node: NodeId, text: &str) -> Result<(), UpdateError> {
-        let mut cluster = self.load(node.page);
+        let mut cluster = self.load(node.page)?;
         let n = &mut cluster.nodes[node.slot as usize];
         let NodeKind::Text(old) = &mut n.kind else {
             return Err(UpdateError::InvalidTarget("update_text needs a text node"));
@@ -455,10 +467,10 @@ impl<'a> TreeUpdater<'a> {
     pub fn delete(&mut self, node: NodeId) -> Result<(), UpdateError> {
         let cluster = self.store.fix(node.page);
         let target = cluster.node(node.slot);
-        if !target.kind.is_core() {
+        if !target.kind().is_core() {
             return Err(UpdateError::InvalidTarget("delete needs a core node"));
         }
-        if target.parent.is_none() {
+        if target.parent().is_none() {
             return Err(UpdateError::InvalidTarget(
                 "cannot delete the document root",
             ));
@@ -468,7 +480,7 @@ impl<'a> TreeUpdater<'a> {
     }
 
     fn unlink_and_tombstone(&mut self, node: NodeId) -> Result<(), UpdateError> {
-        let mut cluster = self.load(node.page);
+        let mut cluster = self.load(node.page)?;
         // Unlink from the sibling chain.
         {
             let n = cluster.node(node.slot).clone();
@@ -514,7 +526,7 @@ impl<'a> TreeUpdater<'a> {
         // Cascade: if the parent proxy chain became empty, remove it too.
         let parent_cleanup = {
             let orig = self.store.fix(node.page);
-            let par = orig.node(node.slot).parent;
+            let par = orig.node(node.slot).parent();
             drop(orig);
             par.and_then(|p| {
                 let n = cluster.node(p);
@@ -544,7 +556,7 @@ impl<'a> TreeUpdater<'a> {
 
     /// Tombstones a remote continuation rooted at a BorderUp companion.
     fn tombstone_remote(&mut self, up: NodeId) -> Result<(), UpdateError> {
-        let mut cluster = self.load(up.page);
+        let mut cluster = self.load(up.page)?;
         let mut remote = Vec::new();
         let mut stack = vec![up.slot];
         while let Some(s) = stack.pop() {
@@ -580,7 +592,7 @@ impl<'a> TreeUpdater<'a> {
 
     /// Unlinks and tombstones a childless BorderDown proxy (cascade step).
     fn unlink_and_tombstone_border(&mut self, down: NodeId) -> Result<(), UpdateError> {
-        let mut cluster = self.load(down.page);
+        let mut cluster = self.load(down.page)?;
         let n = cluster.node(down.slot).clone();
         debug_assert!(matches!(n.kind, NodeKind::BorderDown { .. }));
         match n.prev_sibling {

@@ -42,9 +42,9 @@ fn by_order(store: &TreeStore) -> std::collections::BTreeMap<u64, NodeId> {
     let mut map = std::collections::BTreeMap::new();
     for p in store.meta.page_range() {
         let c = store.fix(p);
-        for (slot, n) in c.nodes.iter().enumerate() {
-            if n.kind.is_core() {
-                map.insert(n.order, NodeId::new(p, slot as u16));
+        for (slot, n) in c.heads().iter().enumerate() {
+            if n.kind().is_core() {
+                map.insert(n.order(), NodeId::new(p, slot as u16));
             }
         }
     }

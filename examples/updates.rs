@@ -42,9 +42,9 @@ fn main() {
         let mut found = None;
         'outer: for p in store.meta.page_range() {
             let c = store.fix(p);
-            for (slot, n) in c.nodes.iter().enumerate() {
-                if let pathix_tree::NodeKind::Element { tag, .. } = &n.kind {
-                    if *tag == sym {
+            for (slot, n) in c.heads().iter().enumerate() {
+                if let pathix_tree::HeadKind::Element { tag } = n.kind() {
+                    if tag == sym {
                         found = Some(pathix_tree::NodeId::new(p, slot as u16));
                         break 'outer;
                     }

@@ -32,9 +32,9 @@ fn paired(db: &Database, doc: &Document) -> Vec<(pathix_xml::NodeRef, NodeId)> {
     let mut by_order = std::collections::BTreeMap::new();
     for p in db.store().meta.page_range() {
         let c = db.store().fix(p);
-        for (slot, n) in c.nodes.iter().enumerate() {
-            if n.kind.is_core() {
-                by_order.insert(n.order, NodeId::new(p, slot as u16));
+        for (slot, n) in c.heads().iter().enumerate() {
+            if n.kind().is_core() {
+                by_order.insert(n.order(), NodeId::new(p, slot as u16));
             }
         }
     }
@@ -149,10 +149,10 @@ fn updates_fragment_the_layout() {
         let page = rng.random_range(range.start..range.end);
         let anchors: Vec<u16> = {
             let c = db.store().fix(page);
-            c.nodes
+            c.heads()
                 .iter()
                 .enumerate()
-                .filter(|(_, n)| n.kind.is_core() && n.parent.is_some())
+                .filter(|(_, n)| n.kind().is_core() && n.parent().is_some())
                 .map(|(i, _)| i as u16)
                 .collect()
         };
