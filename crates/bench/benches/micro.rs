@@ -1,14 +1,22 @@
 //! Micro-benchmarks of the substrates: navigation primitives, buffer
-//! manager, page codec, XML parsing and document generation. These measure
-//! real CPU time (the simulated clock is irrelevant here).
+//! manager, page codec, XML parsing and document generation, plus the
+//! operator chain on a warm buffer. These measure real CPU time (the
+//! simulated clock is irrelevant here).
 //!
 //! The page codec group has three sides: `encode` serializes an owned
 //! cluster, `decode` is the buffer's structural decode of a verified page
 //! image (record heads only, payloads left in the image), and
 //! `materialize` is the owned decode the updater uses to rewrite a page,
 //! which copies every payload out.
+//!
+//! The `operators` group runs whole plans at SF 0.05 over a buffer larger
+//! than the document, warmed before timing: no page is read, so it times
+//! the XStep chain, XAssembly's `R`/`S`, the I/O operator's bookkeeping and
+//! navigation — the wall cost the simulated CPU model stands for.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use pathix::{Database, Method, PlanConfig};
+use pathix_bench::{bench_options, Q15, Q7};
 use pathix_storage::{seal_page, verify_image, BufferParams, MemDevice, SimClock};
 use pathix_tree::{
     import_into, Entry, ImportConfig, NavCharge, NavCounters, NavParams, Placement, ResolvedTest,
@@ -56,7 +64,7 @@ fn bench_navigation(c: &mut Criterion) {
                 cluster.clone(),
                 Entry::Fresh(store.root().slot),
                 Axis::Descendant,
-                test.clone(),
+                test,
             );
             let mut n = 0u32;
             while cursor.next(&charge).is_some() {
@@ -65,6 +73,24 @@ fn bench_navigation(c: &mut Criterion) {
             n
         })
     });
+    group.finish();
+}
+
+fn bench_operators(c: &mut Criterion) {
+    let mut opts = bench_options();
+    opts.buffer_pages = 1 << 16; // more frames than pages: every fix hits
+    let db = Database::from_xmark(0.05, &opts).expect("generated document imports cleanly");
+    let mut group = c.benchmark_group("operators");
+    for (name, query, method) in [
+        ("warm_xscan_q15", Q15, Method::XScan),
+        ("warm_xschedule_q7", Q7, Method::xschedule()),
+    ] {
+        let cfg = PlanConfig::new(method);
+        db.run(query, &cfg).expect("warm-up run");
+        group.bench_function(name, |b| {
+            b.iter(|| db.run(query, &cfg).expect("query runs").value)
+        });
+    }
     group.finish();
 }
 
@@ -137,6 +163,7 @@ fn bench_import(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_navigation,
+    bench_operators,
     bench_buffer_fix,
     bench_codec,
     bench_xml,

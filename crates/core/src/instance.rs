@@ -6,13 +6,15 @@
 //! the four values `(S_L, N_L, S_R, N_R)`, so an instance is a flat tuple.
 //!
 //! The right end additionally carries the *swizzled* form of the node — an
-//! `Arc` to its decoded cluster — while the instance flows between `XStep`
-//! operators (§5.3.2.3: direct pointers are passed along the XStep chain;
-//! only ends stored in the main-memory structures `Q`/`R`/`S` are
-//! unswizzled back to NodeIDs).
+//! `Rc` to its decoded cluster, which pins the frame — while the instance
+//! flows between `XStep` operators (§5.3.2.3: direct pointers are passed
+//! along the XStep chain; only ends stored in the main-memory structures
+//! `Q`/`R`/`S` are unswizzled back to NodeIDs). Passing an end along is a
+//! non-atomic count bump: a plan runs on one thread (DESIGN §10), and the
+//! lint keeps `Arc` off this path.
 
 use pathix_tree::{Cluster, NodeId};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The right end `(S_R, N_R)` of an instance, in one of its physical
 /// representations.
@@ -22,7 +24,7 @@ pub enum REnd {
     /// for the next step starts *fresh* from `slot`.
     Core {
         /// Decoded, pinned cluster.
-        cluster: Arc<Cluster>,
+        cluster: Rc<Cluster>,
         /// Slot of the node within the cluster.
         slot: u16,
         /// Document-order key of the node.
@@ -32,7 +34,7 @@ pub enum REnd {
     /// (the companion of the border where navigation stopped).
     Entry {
         /// Decoded, pinned cluster.
-        cluster: Arc<Cluster>,
+        cluster: Rc<Cluster>,
         /// Slot of the proxy within the cluster.
         slot: u16,
     },
@@ -150,7 +152,7 @@ impl Pi {
     /// A context-node instance whose cluster is already pinned: `S_L = S_R
     /// = 0` with a swizzled `Core` end. Produced by the I/O operators when
     /// a context's cluster comes in.
-    pub fn swizzled_context(cluster: Arc<Cluster>, slot: u16, order: u64) -> Self {
+    pub fn swizzled_context(cluster: Rc<Cluster>, slot: u16, order: u64) -> Self {
         let id = cluster.id(slot);
         Pi {
             sl: 0,
@@ -168,7 +170,7 @@ impl Pi {
     /// The speculative instance `l_{b,step}` for border node `b` (§5.4.3):
     /// left-incomplete, `S_L = S_R = step`, entered at the border's
     /// companion slot.
-    pub fn speculative(step: u16, cluster: Arc<Cluster>, slot: u16) -> Self {
+    pub fn speculative(step: u16, cluster: Rc<Cluster>, slot: u16) -> Self {
         let nl = cluster.id(slot);
         Pi {
             sl: step,
@@ -220,7 +222,7 @@ mod tests {
     use super::*;
     use pathix_xml::Symbol;
 
-    fn cluster() -> Arc<Cluster> {
+    fn cluster() -> Rc<Cluster> {
         let owned = pathix_tree::OwnedCluster {
             page: 3,
             nodes: vec![pathix_tree::Node {
@@ -235,7 +237,7 @@ mod tests {
         let bytes = pathix_tree::node::encode_cluster(&owned, 256);
         let image = pathix_storage::verify_image(bytes.into()).expect("unsealed page");
         let clock = pathix_storage::SimClock::new();
-        Arc::new(pathix_tree::node::decode_cluster(3, &image, &clock))
+        Rc::new(pathix_tree::node::decode_cluster(3, &image, &clock))
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //! classic Graefe sense: `next()` produces one partial path instance at a
 //! time; `open`/`close` are folded into construction and drop.
 
+mod nodeset;
 mod unnest;
 mod xassembly;
 mod xscan;
 mod xschedule;
 mod xstep;
 
+pub(crate) use nodeset::NodeSet;
 pub use unnest::UnnestMap;
 pub use xassembly::XAssembly;
 pub use xscan::XScan;

@@ -20,7 +20,11 @@ pub struct UnnestMap {
     i: u16,
     axis: Axis,
     test: ResolvedTest,
-    current: Option<(u16, NodeId, FullCursor)>,
+    /// `(S_L, N_L)` of the instance being extended.
+    current: Option<(u16, NodeId)>,
+    /// Its cursor; kept once exhausted and restarted for the next context
+    /// so per-context navigation does not allocate.
+    cursor: Option<FullCursor>,
 }
 
 impl UnnestMap {
@@ -33,6 +37,7 @@ impl UnnestMap {
             axis,
             test,
             current: None,
+            cursor: None,
         }
     }
 }
@@ -45,14 +50,15 @@ impl Operator for UnnestMap {
             // starting further cursors over the failed store.
             if cx.interrupted() {
                 self.current = None;
+                self.cursor = None;
                 return None;
             }
-            if let Some((sl, nl, cursor)) = &mut self.current {
+            if let (Some((sl, nl)), Some(cursor)) = (self.current, &mut self.cursor) {
                 let charge = cx.nav_charge();
                 match cursor.next(cx.store, &charge) {
                     Some((id, order)) => {
                         cx.charge_instance();
-                        return Some(Pi::band(*sl, *nl, self.i, REnd::Done { id, order }, false));
+                        return Some(Pi::band(sl, nl, self.i, REnd::Done { id, order }, false));
                     }
                     None => self.current = None,
                 }
@@ -60,8 +66,11 @@ impl Operator for UnnestMap {
             let p = self.producer.next(cx)?;
             debug_assert_eq!(p.sr, self.i - 1, "simple plans are strictly sequential");
             let id = p.nr.node_id();
-            let cursor = FullCursor::new(cx.store, id, self.axis, self.test.clone());
-            self.current = Some((p.sl, p.nl, cursor));
+            match &mut self.cursor {
+                Some(cursor) => cursor.restart(cx.store, id),
+                None => self.cursor = Some(FullCursor::new(cx.store, id, self.axis, self.test)),
+            }
+            self.current = Some((p.sl, p.nl));
         }
     }
 }

@@ -16,14 +16,19 @@
 //!   1 counts as reachable without storing anything;
 //! * enforce the memory limit on `S` and flip the plan into **fallback
 //!   mode** (§5.4.6) when it is exceeded.
+//!
+//! Neither structure allocates per node: `R` is a `NodeSet` (bits per
+//! `(step, page)`, indexed by slot), and `S` is one arena of unswizzled
+//! instances threaded into a FIFO list per left end (`SpecStore`).
 
 use crate::context::ExecCtx;
 use crate::instance::{Pi, REnd};
+use crate::ops::nodeset::NodeSet;
 use crate::ops::xschedule::{QEntry, SchedShared, XSchedule};
 use crate::ops::Operator;
 use pathix_tree::NodeId;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 /// Unswizzled right end stored in `S`.
@@ -44,16 +49,105 @@ struct SPi {
     end: SEnd,
 }
 
+/// End of a list in [`SpecStore`]'s arena.
+const NIL: u32 = u32::MAX;
+
+/// One arena slot: a live instance linked to the next of its key, or a
+/// free slot linked to the next free one.
+#[derive(Debug, Clone, Copy)]
+struct SNode {
+    spi: SPi,
+    next: u32,
+}
+
+/// The speculative instances `S`, keyed by left end `(S_L, N_L)`: one
+/// arena of [`SNode`]s, a FIFO list per key (head and tail in `lists`), and
+/// a free list through the slots that fired. Capacity never exceeds the
+/// peak number of live instances, and dropping `S` frees two allocations.
+#[derive(Debug)]
+struct SpecStore {
+    lists: HashMap<(u16, NodeId), (u32, u32)>,
+    arena: Vec<SNode>,
+    /// Head of the free list.
+    free: u32,
+    /// Live instances.
+    len: usize,
+}
+
+impl Default for SpecStore {
+    fn default() -> Self {
+        Self {
+            lists: HashMap::new(),
+            arena: Vec::new(),
+            free: NIL,
+            len: 0,
+        }
+    }
+}
+
+impl SpecStore {
+    /// Appends `spi` to the list of `key`.
+    fn push(&mut self, key: (u16, NodeId), spi: SPi) {
+        let node = SNode { spi, next: NIL };
+        let at = if let Some(slot) = self.arena.get_mut(self.free as usize) {
+            let at = self.free;
+            self.free = slot.next;
+            *slot = node;
+            at
+        } else {
+            self.arena.push(node);
+            (self.arena.len() - 1) as u32
+        };
+        let arena = &mut self.arena;
+        self.lists
+            .entry(key)
+            .and_modify(|(_, tail)| {
+                if let Some(last) = arena.get_mut(*tail as usize) {
+                    last.next = at;
+                }
+                *tail = at;
+            })
+            .or_insert((at, at));
+        self.len += 1;
+    }
+
+    /// Detaches the list of `key` and returns its head ([`NIL`] if `key`
+    /// has none); drain it with [`Self::pop`].
+    fn take(&mut self, key: (u16, NodeId)) -> u32 {
+        // Most plans never park an instance: skip hashing the key.
+        if self.len == 0 {
+            return NIL;
+        }
+        self.lists.remove(&key).map_or(NIL, |(head, _)| head)
+    }
+
+    /// Frees the slot at `*at`, advances `*at` along its list and returns
+    /// the instance the slot held.
+    fn pop(&mut self, at: &mut u32) -> Option<SPi> {
+        let slot = self.arena.get_mut(*at as usize)?;
+        let SNode { spi, next } = *slot;
+        slot.next = self.free;
+        self.free = *at;
+        *at = next;
+        self.len -= 1;
+        Some(spi)
+    }
+
+    /// Discards every instance and releases the arena.
+    fn clear(&mut self) {
+        *self = Self::default();
+    }
+}
+
 /// The assembly operator. Emits full path instances with `Done` right ends.
 pub struct XAssembly {
     producer: Box<dyn Operator>,
     path_len: u16,
     sched: Option<Rc<RefCell<SchedShared>>>,
     /// Reachable right ends `R`: (step, node).
-    r: HashSet<(u16, NodeId)>,
+    r: NodeSet,
     /// Speculative instances `S`, indexed by left end.
-    s: HashMap<(u16, NodeId), Vec<SPi>>,
-    s_count: usize,
+    s: SpecStore,
     /// Newly reachable ends whose dependent `S` entries must fire.
     fire: VecDeque<(u16, NodeId)>,
     out: VecDeque<Pi>,
@@ -74,9 +168,8 @@ impl XAssembly {
             producer,
             path_len,
             sched,
-            r: HashSet::new(),
-            s: HashMap::new(),
-            s_count: 0,
+            r: NodeSet::default(),
+            s: SpecStore::default(),
             fire: VecDeque::new(),
             out: VecDeque::new(),
             all_reachable_step,
@@ -85,11 +178,11 @@ impl XAssembly {
 
     /// Current number of instances held in `S` (for tests/reports).
     pub fn s_len(&self) -> usize {
-        self.s_count
+        self.s.len
     }
 
-    fn end_reachable(&self, key: (u16, NodeId)) -> bool {
-        self.all_reachable_step == Some(key.0) || self.r.contains(&key)
+    fn end_reachable(&self, (step, id): (u16, NodeId)) -> bool {
+        self.all_reachable_step == Some(step) || self.r.contains(step, id)
     }
 
     /// Processes a (proven-reachable) right end.
@@ -98,7 +191,7 @@ impl XAssembly {
             SEnd::Complete { id, order } => {
                 if sr == self.path_len {
                     cx.charge_set_op();
-                    if self.r.insert((sr, id)) {
+                    if self.r.insert(sr, id) {
                         cx.stats.r_inserts.set(cx.stats.r_inserts.get() + 1);
                         cx.stats.results.set(cx.stats.results.get() + 1);
                         cx.charge_instance();
@@ -108,7 +201,7 @@ impl XAssembly {
                     // Right-complete mid-path ends are normally consumed by
                     // the next XStep; treat defensively as a reachable end.
                     cx.charge_set_op();
-                    if self.r.insert((sr, id)) {
+                    if self.r.insert(sr, id) {
                         cx.stats.r_inserts.set(cx.stats.r_inserts.get() + 1);
                         self.fire.push_back((sr, id));
                     }
@@ -121,7 +214,7 @@ impl XAssembly {
                     return;
                 }
                 cx.charge_set_op();
-                if self.r.insert(key) {
+                if self.r.insert(sr, target) {
                     cx.stats.r_inserts.set(cx.stats.r_inserts.get() + 1);
                     self.fire.push_back(key);
                     if let Some(sched) = &self.sched {
@@ -155,11 +248,9 @@ impl XAssembly {
     fn fire_pending(&mut self, cx: &ExecCtx<'_>) {
         while let Some(key) = self.fire.pop_front() {
             cx.charge_set_op();
-            if let Some(list) = self.s.remove(&key) {
-                self.s_count -= list.len();
-                for x in list {
-                    self.note_right(cx, x.sl, x.nl, x.li, x.sr, x.end);
-                }
+            let mut at = self.s.take(key);
+            while let Some(x) = self.s.pop(&mut at) {
+                self.note_right(cx, x.sl, x.nl, x.li, x.sr, x.end);
             }
         }
     }
@@ -188,7 +279,6 @@ impl XAssembly {
     fn enter_fallback(&mut self) {
         // §5.4.6: discard S; only the duplicate-elimination structures stay.
         self.s.clear();
-        self.s_count = 0;
     }
 }
 
@@ -232,16 +322,18 @@ impl Operator for XAssembly {
                 if self.end_reachable(lkey) {
                     self.note_right(cx, p.sl, p.nl, p.li, p.sr, end);
                 } else if !cx.in_fallback() {
-                    self.s.entry(lkey).or_default().push(SPi {
-                        sl: p.sl,
-                        nl: p.nl,
-                        li: p.li,
-                        sr: p.sr,
-                        end,
-                    });
-                    self.s_count += 1;
+                    self.s.push(
+                        lkey,
+                        SPi {
+                            sl: p.sl,
+                            nl: p.nl,
+                            li: p.li,
+                            sr: p.sr,
+                            end,
+                        },
+                    );
                     cx.stats.s_inserts.set(cx.stats.s_inserts.get() + 1);
-                    if cx.note_s_size(self.s_count) {
+                    if cx.note_s_size(self.s.len) {
                         self.enter_fallback();
                     }
                 }
@@ -412,5 +504,77 @@ mod tests {
         assert!(cx.in_fallback());
         assert_eq!(asm.s_len(), 0, "S discarded on fallback");
         assert!(cx.stats.fallback_entered.get());
+        // The third insert crossed the limit: counted, peaked, then freed.
+        assert_eq!(cx.stats.s_inserts.get(), 3);
+        assert_eq!(cx.stats.s_peak.get(), 3);
+        assert_eq!(asm.s.arena.capacity(), 0, "fallback releases the arena");
+        assert!(asm.s.lists.is_empty());
+    }
+
+    #[test]
+    fn instances_of_one_key_fire_in_insertion_order() {
+        let docstore = mem_store(&sample_doc(), 1 << 14, Placement::Sequential);
+        let cx = cx_for_tests(&docstore);
+        let (k1, k2) = (NodeId::new(5, 0), NodeId::new(6, 0));
+        // Two keys' lists interleaved in the arena; k2 fires first, so its
+        // freed slots are reused by k1's later inserts.
+        let mut feed = Vec::new();
+        for i in 0..4u16 {
+            feed.push(done(1, k1, 2, NodeId::new(7, i), u64::from(i)));
+            feed.push(done(1, k2, 2, NodeId::new(8, i), 10 + u64::from(i)));
+        }
+        feed.push(border(0, NodeId::new(0, 0), 1, k2));
+        for i in 4..8u16 {
+            feed.push(done(1, k1, 2, NodeId::new(7, i), u64::from(i)));
+        }
+        feed.push(border(0, NodeId::new(0, 0), 1, k1));
+        let mut asm = XAssembly::new(Box::new(Feed(feed)), 2, None, None);
+        let got: Vec<NodeId> = drain(&mut asm, &cx)
+            .iter()
+            .map(|p| p.nr.node_id())
+            .collect();
+        let mut want: Vec<NodeId> = (0..4).map(|i| NodeId::new(8, i)).collect();
+        want.extend((0..8).map(|i| NodeId::new(7, i)));
+        assert_eq!(got, want);
+        assert_eq!(asm.s_len(), 0);
+        assert_eq!(cx.stats.s_inserts.get(), 12);
+        assert_eq!(cx.stats.s_peak.get(), 8, "4 + 4 live before k2 fired");
+        assert_eq!(asm.s.arena.len(), 8, "k1's later inserts reuse k2's slots");
+    }
+
+    #[test]
+    fn arena_stays_bounded_by_the_live_peak() {
+        let mut s = SpecStore::default();
+        let spi = |i: u16| SPi {
+            sl: 1,
+            nl: NodeId::new(1, i),
+            li: true,
+            sr: 2,
+            end: SEnd::Complete {
+                id: NodeId::new(2, i),
+                order: u64::from(i),
+            },
+        };
+        for round in 0..50u16 {
+            // 3 keys × 4 instances live, then all fired.
+            for i in 0..12 {
+                s.push((1, NodeId::new(1, round * 3 + i % 3)), spi(i));
+            }
+            assert_eq!(s.len, 12);
+            for k in 0..3 {
+                let mut at = s.take((1, NodeId::new(1, round * 3 + k)));
+                let mut fired = Vec::new();
+                while let Some(x) = s.pop(&mut at) {
+                    fired.push(x.nl.slot);
+                }
+                assert_eq!(fired, [k, k + 3, k + 6, k + 9], "FIFO per key");
+            }
+            assert_eq!(s.len, 0);
+            assert!(s.arena.len() <= 12, "round {round}: {}", s.arena.len());
+        }
+        assert_eq!(s.take((1, NodeId::new(1, 0))), NIL, "fired keys are gone");
+        s.push((0, NodeId::new(9, 9)), spi(0));
+        s.clear();
+        assert_eq!((s.len, s.arena.capacity(), s.free), (0, 0, NIL));
     }
 }

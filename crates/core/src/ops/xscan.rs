@@ -9,7 +9,9 @@
 //! 2. **speculative left-incomplete instances** `l_{b,i}` for every border
 //!    node `b` and every step `i < |π|`, so that all information relevant
 //!    to the path is extracted in this single visit — the cluster is never
-//!    loaded again.
+//!    loaded again. They are charged when the cluster is visited and built
+//!    one at a time as the consumer pulls them, so a visit materializes no
+//!    queue of instances.
 //!
 //! In fallback mode (§5.4.6) the operator restarts its (materialized)
 //! producer and degrades to the identity: it re-emits context nodes and the
@@ -20,9 +22,18 @@ use crate::context::ExecCtx;
 use crate::instance::Pi;
 use crate::ops::Operator;
 use pathix_storage::PageId;
-use pathix_tree::NodeId;
+use pathix_tree::{Cluster, NodeId};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::rc::Rc;
+
+/// The speculative instances of the visited cluster still to be emitted:
+/// `l_{b,i}` for the border `borders[next / |π|]` and step `next % |π|`.
+/// Holding the cluster pins it exactly as long as instances remain.
+struct Speculation {
+    cluster: Rc<Cluster>,
+    next: usize,
+}
 
 /// The sequential-scan I/O operator.
 pub struct XScan {
@@ -32,7 +43,11 @@ pub struct XScan {
     pos: usize,
     ctx_by_page: HashMap<PageId, Vec<NodeId>>,
     all_contexts: Vec<NodeId>,
+    /// Context instances of the visited cluster, emitted first.
     emit: VecDeque<Pi>,
+    /// Border slots of the visited cluster (reused across visits).
+    borders: Vec<u16>,
+    spec: Option<Speculation>,
     /// Fallback restart state.
     fb_pos: Option<usize>,
 }
@@ -48,6 +63,8 @@ impl XScan {
             ctx_by_page: HashMap::new(),
             all_contexts: Vec::new(),
             emit: VecDeque::new(),
+            borders: Vec::new(),
+            spec: None,
             fb_pos: None,
         }
     }
@@ -79,18 +96,38 @@ impl XScan {
                     .push_back(Pi::swizzled_context(cluster.clone(), id.slot, order));
             }
         }
-        // 2. Speculative instances for every border node and step.
+        // 2. Speculative instances for every border node and step, charged
+        //    now and built by `next_speculative`.
         if self.path_len > 0 {
-            for b in cluster.border_slots() {
-                for i in 0..self.path_len {
-                    cx.charge_instance();
-                    cx.stats
-                        .speculative_generated
-                        .set(cx.stats.speculative_generated.get() + 1);
-                    self.emit.push_back(Pi::speculative(i, cluster.clone(), b));
-                }
+            self.borders.clear();
+            self.borders.extend(cluster.border_slots());
+            for _ in 0..self.borders.len() * usize::from(self.path_len) {
+                cx.charge_instance();
+                cx.stats
+                    .speculative_generated
+                    .set(cx.stats.speculative_generated.get() + 1);
+            }
+            if !self.borders.is_empty() {
+                self.spec = Some(Speculation { cluster, next: 0 });
             }
         }
+    }
+
+    /// The next speculative instance of the visited cluster. The last one
+    /// takes the cluster handle, so nothing stays pinned after it.
+    fn next_speculative(&mut self) -> Option<Pi> {
+        let spec = self.spec.as_mut()?;
+        let len = usize::from(self.path_len);
+        let at = spec.next;
+        let &b = self.borders.get(at / len)?;
+        let step = (at % len) as u16;
+        spec.next += 1;
+        let cluster = if spec.next == self.borders.len() * len {
+            self.spec.take()?.cluster
+        } else {
+            Rc::clone(&spec.cluster)
+        };
+        Some(Pi::speculative(step, cluster, b))
     }
 }
 
@@ -103,14 +140,19 @@ impl Operator for XScan {
             // pipeline winds down and the executor can surface it.
             if cx.interrupted() {
                 self.emit.clear();
+                self.spec = None;
                 return None;
             }
             if cx.in_fallback() && self.fb_pos.is_none() {
                 // Restart as identity over the context nodes (§5.4.6).
                 self.emit.clear();
+                self.spec = None;
                 self.fb_pos = Some(0);
             }
             if let Some(pi) = self.emit.pop_front() {
+                return Some(pi);
+            }
+            if let Some(pi) = self.next_speculative() {
                 return Some(pi);
             }
             if let Some(fb) = &mut self.fb_pos {

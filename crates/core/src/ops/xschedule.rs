@@ -22,7 +22,6 @@ use pathix_tree::{Cluster, NodeId};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// One pending cluster visit. The derived ordering — cluster id first,
 /// step second — is the paper's lexicographic queue order.
@@ -154,7 +153,7 @@ pub struct XSchedule {
     speculative: bool,
     path_len: u16,
     shared: Rc<RefCell<SchedShared>>,
-    current: Option<Arc<Cluster>>,
+    current: Option<Rc<Cluster>>,
     emit: VecDeque<Pi>,
     producer_done: bool,
 }
@@ -192,7 +191,7 @@ impl XSchedule {
         }
     }
 
-    fn resolve(&self, cx: &ExecCtx<'_>, e: QEntry, cluster: Arc<Cluster>) -> Pi {
+    fn resolve(&self, cx: &ExecCtx<'_>, e: QEntry, cluster: Rc<Cluster>) -> Pi {
         cx.charge_instance();
         let nr = if e.resume {
             REnd::Entry {
@@ -210,7 +209,7 @@ impl XSchedule {
         Pi::band(e.sl, e.nl, e.sr, nr, e.li)
     }
 
-    fn generate_speculative(&mut self, cx: &ExecCtx<'_>, cluster: &Arc<Cluster>) {
+    fn generate_speculative(&mut self, cx: &ExecCtx<'_>, cluster: &Rc<Cluster>) {
         if !self.speculative || cx.in_fallback() || self.path_len == 0 {
             return;
         }

@@ -26,11 +26,7 @@ use crate::instance::{Pi, REnd};
 use crate::ops::Operator;
 use pathix_tree::{Entry, FullCursor, NodeId, ResolvedTest, StepCursor, StepItem};
 use pathix_xpath::Axis;
-
-enum Cursor {
-    Intra(StepCursor),
-    Full(FullCursor),
-}
+use std::rc::Rc;
 
 /// The per-step navigation operator.
 pub struct XStep {
@@ -39,8 +35,13 @@ pub struct XStep {
     i: u16,
     axis: Axis,
     test: ResolvedTest,
-    /// Enumeration state for the instance currently being extended.
-    current: Option<(u16, NodeId, bool, Cursor)>,
+    /// `(S_L, N_L, li)` of the instance being extended; `None` when idle.
+    band: Option<(u16, NodeId, bool)>,
+    /// Its intra-cluster cursor, restarted in place for every instance so
+    /// extending one allocates nothing.
+    intra: StepCursor,
+    /// Its border-crossing cursor instead, in fallback mode.
+    full: Option<FullCursor>,
 }
 
 impl XStep {
@@ -52,73 +53,59 @@ impl XStep {
             i,
             axis,
             test,
-            current: None,
+            band: None,
+            intra: StepCursor::default(),
+            full: None,
         }
     }
 
-    fn start_cursor(&self, cx: &ExecCtx<'_>, nr: &REnd) -> Option<Cursor> {
-        match nr {
-            REnd::Core { cluster, slot, .. } => {
-                if cx.in_fallback() {
-                    let id = cluster.id(*slot);
-                    Some(Cursor::Full(FullCursor::with_entry(
-                        cx.store,
-                        id,
-                        Entry::Fresh(*slot),
-                        self.axis,
-                        self.test.clone(),
-                    )))
-                } else {
-                    Some(Cursor::Intra(StepCursor::new(
-                        cluster.clone(),
-                        Entry::Fresh(*slot),
-                        self.axis,
-                        self.test.clone(),
-                    )))
-                }
-            }
-            REnd::Entry { cluster, slot } => {
-                if cx.in_fallback() {
-                    let id = cluster.id(*slot);
-                    Some(Cursor::Full(FullCursor::with_entry(
-                        cx.store,
-                        id,
-                        Entry::Resume(*slot),
-                        self.axis,
-                        self.test.clone(),
-                    )))
-                } else {
-                    Some(Cursor::Intra(StepCursor::new(
-                        cluster.clone(),
-                        Entry::Resume(*slot),
-                        self.axis,
-                        self.test.clone(),
-                    )))
-                }
-            }
+    /// Opens the cursor extending an instance with right end `nr`; false
+    /// if `nr` is a border, which this step cannot extend.
+    fn start_cursor(&mut self, cx: &ExecCtx<'_>, nr: &REnd) -> bool {
+        let (cluster, entry) = match nr {
+            REnd::Core { cluster, slot, .. } => (cluster, Entry::Fresh(*slot)),
+            REnd::Entry { cluster, slot } => (cluster, Entry::Resume(*slot)),
             // Unswizzled ends reach XStep only in fallback mode (results of
             // the simple method pass Done ends around) — fix and navigate.
             REnd::Done { id, .. } | REnd::Cold { id, resume: false } => {
                 debug_assert!(cx.in_fallback(), "cold end at XStep outside fallback");
-                Some(Cursor::Full(FullCursor::new(
-                    cx.store,
-                    *id,
-                    self.axis,
-                    self.test.clone(),
-                )))
+                self.full = Some(FullCursor::new(cx.store, *id, self.axis, self.test));
+                return true;
             }
             REnd::Cold { id, resume: true } => {
                 debug_assert!(cx.in_fallback(), "cold end at XStep outside fallback");
-                Some(Cursor::Full(FullCursor::with_entry(
+                self.full = Some(FullCursor::with_entry(
                     cx.store,
                     *id,
                     Entry::Resume(id.slot),
                     self.axis,
-                    self.test.clone(),
-                )))
+                    self.test,
+                ));
+                return true;
             }
-            REnd::Border { .. } => None,
+            REnd::Border { .. } => return false,
+        };
+        if cx.in_fallback() {
+            let (Entry::Fresh(slot) | Entry::Resume(slot)) = entry;
+            self.full = Some(FullCursor::with_entry(
+                cx.store,
+                cluster.id(slot),
+                entry,
+                self.axis,
+                self.test,
+            ));
+        } else {
+            self.intra
+                .restart(Rc::clone(cluster), entry, self.axis, self.test);
         }
+        true
+    }
+
+    /// Ends the current instance's enumeration, unpinning its cluster.
+    fn stop(&mut self) {
+        self.band = None;
+        self.intra.release();
+        self.full = None;
     }
 }
 
@@ -129,25 +116,34 @@ impl Operator for XStep {
             // passed hard deadline aborts the plan — wind down instead of
             // extending further instances over the failed store.
             if cx.interrupted() {
-                self.current = None;
+                self.stop();
                 return None;
             }
-            if let Some((sl, nl, li, cursor)) = &mut self.current {
+            if let Some((sl, nl, li)) = self.band {
                 let charge = cx.nav_charge();
-                match cursor {
-                    Cursor::Intra(c) => match c.next(&charge) {
+                if let Some(full) = &mut self.full {
+                    match full.next(cx.store, &charge) {
+                        Some((id, order)) => {
+                            cx.charge_instance();
+                            return Some(Pi::band(sl, nl, self.i, REnd::Done { id, order }, li));
+                        }
+                        None => self.stop(),
+                    }
+                } else {
+                    match self.intra.next(&charge) {
                         Some(StepItem::Match { id, order }) => {
                             cx.charge_instance();
+                            let cluster = Rc::clone(self.intra.cluster()?);
                             return Some(Pi::band(
-                                *sl,
-                                *nl,
+                                sl,
+                                nl,
                                 self.i,
                                 REnd::Core {
-                                    cluster: c.cluster().clone(),
+                                    cluster,
                                     slot: id.slot,
                                     order,
                                 },
-                                *li,
+                                li,
                             ));
                         }
                         Some(StepItem::Border { proxy, target }) => {
@@ -156,36 +152,26 @@ impl Operator for XStep {
                                 .borders_deferred
                                 .set(cx.stats.borders_deferred.get() + 1);
                             return Some(Pi::band(
-                                *sl,
-                                *nl,
+                                sl,
+                                nl,
                                 self.i - 1,
                                 REnd::Border { proxy, target },
-                                *li,
+                                li,
                             ));
                         }
-                        None => self.current = None,
-                    },
-                    Cursor::Full(c) => match c.next(cx.store, &charge) {
-                        Some((id, order)) => {
-                            cx.charge_instance();
-                            return Some(Pi::band(*sl, *nl, self.i, REnd::Done { id, order }, *li));
-                        }
-                        None => self.current = None,
-                    },
+                        None => self.stop(),
+                    }
                 }
             }
             let p = self.producer.next(cx)?;
             debug_assert!(p.validate(u16::MAX).is_ok());
             let applicable = p.sr == self.i - 1 && !p.nr.is_border();
-            if !applicable {
-                // Not generated by step i−1, or already stopped at a border:
-                // hand through to the consumer untouched.
+            // Not generated by step i−1, or already stopped at a border:
+            // hand through to the consumer untouched.
+            if !applicable || !self.start_cursor(cx, &p.nr) {
                 return Some(p);
             }
-            match self.start_cursor(cx, &p.nr) {
-                Some(cursor) => self.current = Some((p.sl, p.nl, p.li, cursor)),
-                None => return Some(p),
-            }
+            self.band = Some((p.sl, p.nl, p.li));
         }
     }
 }

@@ -14,13 +14,12 @@ use crate::error::ExecError;
 use crate::governor::{IoGate, MemLedger, QueryBudget};
 use crate::instance::REnd;
 use crate::ops::{
-    ContextSource, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule, XStep,
+    ContextSource, NodeSet, Operator, SchedShared, UnnestMap, XAssembly, XScan, XSchedule, XStep,
 };
 use crate::report::{buffer_delta, device_delta, ExecReport};
 use pathix_tree::{NodeId, ResolvedTest, TreeStore};
 use pathix_xpath::{Axis, LocationPath, NodeTest, Query};
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Which physical plan to generate.
@@ -297,8 +296,8 @@ pub(crate) struct PlanCursor<'a> {
     pub(crate) cx: ExecCtx<'a>,
     method: Method,
     nodes: Vec<(NodeId, u64)>,
-    /// Result nodes seen so far (Simple only).
-    seen: HashSet<NodeId>,
+    /// Result nodes seen so far (Simple only), as step 0 of a [`NodeSet`].
+    seen: NodeSet,
     done: bool,
 }
 
@@ -321,7 +320,7 @@ impl<'a> PlanCursor<'a> {
             cx,
             method,
             nodes: Vec::new(),
-            seen: HashSet::new(),
+            seen: NodeSet::default(),
             done: false,
         }
     }
@@ -367,7 +366,7 @@ impl<'a> PlanCursor<'a> {
         if matches!(self.method, Method::Simple) {
             // Final duplicate elimination of the Simple method (§5.1).
             self.cx.charge_set_op();
-            if !self.seen.insert(id) {
+            if !self.seen.insert(0, id) {
                 return Ok(true);
             }
         }

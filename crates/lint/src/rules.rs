@@ -168,6 +168,23 @@ const CONFINEMENTS: &[Confinement] = &[
                   (storage, core/src/server.rs, core/src/governor.rs, \
                   bench); the operator hot path stays single-threaded",
     },
+    // R5: the operator hot path is single-threaded (DESIGN §10), so it
+    // shares clusters and instances by `Rc`; an `Arc` there pays an atomic
+    // increment and decrement per instance for nothing.
+    Confinement {
+        rule: "R5",
+        idents: &["Arc"],
+        applies: |p| {
+            p.starts_with("crates/core/src/ops/")
+                || p == "crates/core/src/instance.rs"
+                || p == "crates/tree/src/nav.rs"
+        },
+        in_tests: false,
+        literal: false,
+        message: "`{id}` on the operator hot path (core ops/, instance.rs, \
+                  tree nav.rs); the hot path stays single-threaded, so \
+                  share clusters by `Rc`",
+    },
     // R7: budgets, cancellation, and admission control live in the
     // governor zone — the governor module itself, the context/plan layer
     // that threads budgets to checkpoints, the batch executor, the error
@@ -616,6 +633,28 @@ mod tests {
         assert!(rules_of("crates/core/src/governor.rs", src).is_empty());
         assert!(rules_of("crates/bench/src/scaling.rs", src).is_empty());
         assert!(rules_of("crates/core/tests/t.rs", src).is_empty());
+    }
+
+    #[test]
+    fn operator_hot_path_has_no_arc() {
+        let src = "use std::sync::Arc;\nfn f(c: Arc<Cluster>) -> Arc<Cluster> { Arc::clone(&c) }";
+        for hot in [
+            "crates/core/src/ops/xassembly.rs",
+            "crates/core/src/ops/nodeset.rs",
+            "crates/core/src/instance.rs",
+            "crates/tree/src/nav.rs",
+        ] {
+            assert_eq!(rules_of(hot, src), vec!["R5"; 4], "{hot}");
+        }
+        // `Rc` is the hot path's handle; tests and the concurrency zone,
+        // the shared page cache above all, may hold `Arc`s.
+        let rc = "use std::rc::Rc;\nfn f(c: Rc<Cluster>) -> Rc<Cluster> { Rc::clone(&c) }";
+        assert!(rules_of("crates/core/src/ops/xstep.rs", rc).is_empty());
+        let test_mod = format!("#[cfg(test)]\nmod tests {{\n{src}\n}}");
+        assert!(rules_of("crates/core/src/ops/xstep.rs", &test_mod).is_empty());
+        assert!(rules_of("crates/storage/src/shared_cache.rs", src).is_empty());
+        assert!(rules_of("crates/core/src/plan.rs", src).is_empty());
+        assert!(rules_of("crates/tree/src/store.rs", src).is_empty());
     }
 
     #[test]

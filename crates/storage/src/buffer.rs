@@ -11,8 +11,11 @@
 //! *Fixing* a resident page still costs a hash-table lookup plus latch
 //! (`fix_hit_ns`) — the "swizzling" cost the paper minimizes by passing
 //! direct pointers between `XStep` operators. Callers hold a decoded page as
-//! an `Arc`, which doubles as the pin: frames with outstanding references are
-//! never evicted. Eviction uses the CLOCK (second chance) policy.
+//! an `Rc`, which doubles as the pin: frames with outstanding references
+//! (`strong_count > 1`) are never evicted. The count is non-atomic because a
+//! buffer never leaves its thread (it already holds `RefCell`s and an
+//! `Rc<SimClock>`); parallel workers each own a buffer over a forked device.
+//! Eviction uses the CLOCK (second chance) policy.
 //!
 //! The buffer is also where I/O faults are **absorbed or surfaced**: every
 //! page image is checksum-verified before it is decoded — the decoder's
@@ -29,7 +32,6 @@ use crate::device::{Device, DeviceStats, IoError, IoErrorKind, PageId};
 use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Bounded retry with deterministic exponential backoff, applied by the
 /// buffer manager to retryable read failures (transient errors and checksum
@@ -130,7 +132,7 @@ impl BufferStats {
 
 struct Frame<T> {
     page: PageId,
-    data: Arc<T>,
+    data: Rc<T>,
     referenced: bool,
 }
 
@@ -149,14 +151,14 @@ impl<T> FrameTable<T> {
         }
     }
 
-    fn get(&mut self, page: PageId) -> Option<Arc<T>> {
+    fn get(&mut self, page: PageId) -> Option<Rc<T>> {
         let &i = self.map.get(&page)?;
         // A mapped slot always holds a frame; if the table is ever
         // inconsistent, report a miss instead of panicking — the caller
         // re-reads the page.
         let f = self.slots.get_mut(i)?.as_mut()?;
         f.referenced = true;
-        Some(Arc::clone(&f.data))
+        Some(Rc::clone(&f.data))
     }
 
     fn resident(&self, page: PageId) -> bool {
@@ -176,7 +178,7 @@ impl<T> FrameTable<T> {
             let Some(f) = slot.as_mut() else {
                 return Some(i);
             };
-            if Arc::strong_count(&f.data) > 1 {
+            if Rc::strong_count(&f.data) > 1 {
                 continue; // pinned
             }
             if f.referenced {
@@ -188,7 +190,7 @@ impl<T> FrameTable<T> {
         None
     }
 
-    fn insert(&mut self, page: PageId, data: Arc<T>, capacity: usize) -> InsertOutcome {
+    fn insert(&mut self, page: PageId, data: Rc<T>, capacity: usize) -> InsertOutcome {
         debug_assert!(!self.map.contains_key(&page), "page already resident");
         let mut outcome = InsertOutcome::default();
         let frame = Frame {
@@ -372,7 +374,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     /// channel (database construction, export, tests): an unrecoverable
     /// read error becomes a panic. The query path uses
     /// `TreeStore::checked_fix`, which routes errors into `ExecError::Io`.
-    pub fn fix(&self, page: PageId) -> Arc<T> {
+    pub fn fix(&self, page: PageId) -> Rc<T> {
         match self.try_fix(page) {
             Ok(data) => data,
             // lint:allow(infallible wrapper; the query hot path uses try_fix via TreeStore::checked_fix)
@@ -387,7 +389,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     /// are retried per the [`RetryPolicy`]; a permanent error or an
     /// exhausted attempt budget is returned as [`IoError`] with the final
     /// attempt count filled in.
-    pub fn try_fix(&self, page: PageId) -> Result<Arc<T>, IoError> {
+    pub fn try_fix(&self, page: PageId) -> Result<Rc<T>, IoError> {
         let p = self.params.get();
         self.clock.charge_cpu(p.fix_hit_ns);
         {
@@ -466,8 +468,8 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
                 }
             }
         };
-        let data = Arc::new(self.decoder.decode(page, &image, &self.clock));
-        self.insert(page, Arc::clone(&data));
+        let data = Rc::new(self.decoder.decode(page, &image, &self.clock));
+        self.insert(page, Rc::clone(&data));
         Ok(data)
     }
 
@@ -494,7 +496,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
     /// Failed or torn completions are dropped, not installed: the page is
     /// simply no longer in flight, and the eventual demand fix re-reads it
     /// through the retry path.
-    pub fn fix_any_prefetched(&self, block: bool) -> Option<(PageId, Arc<T>)> {
+    pub fn fix_any_prefetched(&self, block: bool) -> Option<(PageId, Rc<T>)> {
         loop {
             let c = self.device.borrow_mut().poll(&self.clock, block)?;
             match c.result.ok().and_then(verify_image) {
@@ -514,7 +516,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
         self.device.borrow().in_flight()
     }
 
-    fn install_completion(&self, page: PageId, image: &VerifiedPage) -> Arc<T> {
+    fn install_completion(&self, page: PageId, image: &VerifiedPage) -> Rc<T> {
         self.submitted.borrow_mut().remove(&page);
         {
             let mut st = self.stats.borrow_mut();
@@ -526,12 +528,12 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
             // Raced with a synchronous fix; keep the existing frame.
             return existing;
         }
-        let data = Arc::new(self.decoder.decode(page, image, &self.clock));
-        self.insert(page, Arc::clone(&data));
+        let data = Rc::new(self.decoder.decode(page, image, &self.clock));
+        self.insert(page, Rc::clone(&data));
         data
     }
 
-    fn insert(&self, page: PageId, data: Arc<T>) {
+    fn insert(&self, page: PageId, data: Rc<T>) {
         let outcome =
             self.frames
                 .borrow_mut()
@@ -557,7 +559,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
                 .slots
                 .get(i)
                 .and_then(|s| s.as_ref())
-                .is_some_and(|f| Arc::strong_count(&f.data) > 1);
+                .is_some_and(|f| Rc::strong_count(&f.data) > 1);
             assert!(!pinned, "invalidating pinned page {page}");
             if let Some(s) = frames.slots.get_mut(i) {
                 *s = None;

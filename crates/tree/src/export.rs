@@ -8,7 +8,7 @@ use crate::store::TreeStore;
 use pathix_storage::PageId;
 use pathix_xml::{Document, NodeRef};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Rebuilds the logical document from the store.
 ///
@@ -27,17 +27,17 @@ pub fn export(store: &TreeStore) -> Document {
 /// random page accesses of [`export`]'s structural walk with one scan.
 pub fn export_scan(store: &TreeStore) -> Document {
     // Phase 1: one sequential pass pins every cluster.
-    let clusters: HashMap<PageId, Arc<Cluster>> = store
+    let clusters: HashMap<PageId, Rc<Cluster>> = store
         .meta
         .page_range()
         .map(|page| (page, store.fix(page)))
         .collect();
     // Phase 2: stitch in memory (no further I/O).
-    walk(store, |page| Arc::clone(&clusters[&page]))
+    walk(store, |page| Rc::clone(&clusters[&page]))
 }
 
 struct Frame {
-    cluster: Arc<Cluster>,
+    cluster: Rc<Cluster>,
     /// Next slot to process in the current sibling chain.
     cur: Option<u16>,
     /// Document node receiving the children.
@@ -52,7 +52,7 @@ struct Frame {
 /// # Panics
 /// Panics on a structurally invalid store (a non-element root, a proxy
 /// root or tombstone inside a sibling chain) or a malformed payload.
-fn walk(store: &TreeStore, mut fetch: impl FnMut(PageId) -> Arc<Cluster>) -> Document {
+fn walk(store: &TreeStore, mut fetch: impl FnMut(PageId) -> Rc<Cluster>) -> Document {
     let symbols = &store.meta.symbols;
     let root = store.root();
     let root_cluster = fetch(root.page);
@@ -105,7 +105,7 @@ fn walk(store: &TreeStore, mut fetch: impl FnMut(PageId) -> Arc<Cluster>) -> Doc
             }
         };
         if first.is_some() {
-            let cluster = remote.unwrap_or_else(|| Arc::clone(&frame.cluster));
+            let cluster = remote.unwrap_or_else(|| Rc::clone(&frame.cluster));
             stack.push(Frame {
                 cluster,
                 cur: first,

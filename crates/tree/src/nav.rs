@@ -17,11 +17,11 @@
 
 use crate::node::{Cluster, HeadKind, NodeId};
 use crate::store::TreeStore;
-use pathix_storage::SimClock;
+use pathix_storage::{PageId, SimClock};
 use pathix_xml::{Symbol, SymbolTable};
 use pathix_xpath::{Axis, NodeTest};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// CPU cost parameters for navigation.
 #[derive(Debug, Clone, Copy)]
@@ -87,7 +87,7 @@ impl NavCharge<'_> {
 
 /// A node test resolved against a document's symbol table, so matching is a
 /// symbol comparison instead of a string comparison.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedTest {
     /// Tag test; `None` if the name does not occur in the document (never
     /// matches).
@@ -168,20 +168,18 @@ enum State {
         /// the companion cluster: emit this border when the chain ends.
         end_border: Option<u16>,
     },
-    /// Depth-first walk (descendant / descendant-or-self).
-    Dfs {
-        stack: Vec<u16>,
-    },
+    /// Depth-first walk (descendant / descendant-or-self) over the
+    /// cursor's stack.
+    Dfs,
     /// Parent-chain walk (parent / ancestor / ancestor-or-self).
     Up {
         cur: Option<u16>,
         single: bool,
     },
     /// Document-order walk (following / preceding): for each
-    /// ancestor-or-self, the subtrees of its siblings on one side.
+    /// ancestor-or-self, the subtrees of its siblings on one side. The
+    /// cursor's stack holds the DFS of the sibling subtree being emitted.
     Walk {
-        /// DFS stack of the sibling subtree currently being emitted.
-        dfs: Vec<u16>,
         /// Next sibling position in the current chain.
         chain: Option<u16>,
         /// Node whose parent we climb to when the chain ends.
@@ -192,25 +190,59 @@ enum State {
 }
 
 /// Intra-cluster navigation cursor for one (axis, node-test) step.
+///
+/// A cursor holds (pins) its cluster until it is [released](Self::release)
+/// or dropped, and can be [restarted](Self::restart) in place for the next
+/// step, so an operator keeps one cursor and allocates nothing per context.
 #[derive(Debug)]
 pub struct StepCursor {
-    cluster: Arc<Cluster>,
+    /// `None` once released: the cursor is then exhausted.
+    cluster: Option<Rc<Cluster>>,
     test: ResolvedTest,
     state: State,
+    /// Pending slots of the `Dfs` and `Walk` states, top last. Kept out of
+    /// `state` so its allocation survives restarts.
+    stack: Vec<u16>,
+}
+
+impl Default for StepCursor {
+    /// An exhausted cursor over no cluster, to be restarted.
+    fn default() -> Self {
+        Self {
+            cluster: None,
+            test: ResolvedTest::AnyNode,
+            state: State::Done,
+            stack: Vec::new(),
+        }
+    }
 }
 
 impl StepCursor {
     /// Creates a cursor for `axis`/`test` entering the cluster at `entry`.
-    pub fn new(cluster: Arc<Cluster>, entry: Entry, axis: Axis, test: ResolvedTest) -> Self {
-        let state = match entry {
-            Entry::Fresh(slot) => Self::fresh_state(&cluster, slot, axis),
-            Entry::Resume(slot) => Self::resume_state(&cluster, slot, axis),
+    pub fn new(cluster: Rc<Cluster>, entry: Entry, axis: Axis, test: ResolvedTest) -> Self {
+        let mut cursor = Self::default();
+        cursor.restart(cluster, entry, axis, test);
+        cursor
+    }
+
+    /// Re-enters the cursor for `axis`/`test` at `entry` of `cluster`, as
+    /// [`Self::new`] would, but in place and reusing its allocation. The
+    /// previous cluster is released.
+    pub fn restart(&mut self, cluster: Rc<Cluster>, entry: Entry, axis: Axis, test: ResolvedTest) {
+        self.stack.clear();
+        self.test = test;
+        self.state = match entry {
+            Entry::Fresh(slot) => Self::fresh_state(&cluster, slot, axis, &mut self.stack),
+            Entry::Resume(slot) => Self::resume_state(&cluster, slot, axis, &mut self.stack),
         };
-        Self {
-            cluster,
-            test,
-            state,
-        }
+        self.cluster = Some(cluster);
+    }
+
+    /// Releases the cluster (unpinning it); the cursor is exhausted until
+    /// restarted.
+    pub fn release(&mut self) {
+        self.cluster = None;
+        self.state = State::Done;
     }
 
     /// `end_border` helper: the chain continues remotely iff its parent is a
@@ -219,18 +251,21 @@ impl StepCursor {
         parent.filter(|&p| matches!(cluster.node(p).kind(), HeadKind::BorderUp { .. }))
     }
 
-    fn children_rev(cluster: &Cluster, slot: u16) -> Vec<u16> {
-        let mut kids = Vec::new();
+    /// Pushes the children of `slot` onto `stack` in reverse, so they pop
+    /// in document order: one push per child plus one reversal, O(k).
+    fn push_children(cluster: &Cluster, slot: u16, stack: &mut Vec<u16>) {
+        let at = stack.len();
         let mut cur = cluster.node(slot).first_child();
         while let Some(s) = cur {
-            kids.push(s);
+            stack.push(s);
             cur = cluster.node(s).next_sibling();
         }
-        kids.reverse();
-        kids
+        if let Some(kids) = stack.get_mut(at..) {
+            kids.reverse();
+        }
     }
 
-    fn fresh_state(cluster: &Cluster, slot: u16, axis: Axis) -> State {
+    fn fresh_state(cluster: &Cluster, slot: u16, axis: Axis, stack: &mut Vec<u16>) -> State {
         let node = cluster.node(slot);
         match axis {
             Axis::SelfAxis => State::SelfPending(slot),
@@ -239,10 +274,14 @@ impl StepCursor {
                 forward: true,
                 end_border: Self::chain_end(cluster, Some(slot)),
             },
-            Axis::Descendant => State::Dfs {
-                stack: Self::children_rev(cluster, slot),
-            },
-            Axis::DescendantOrSelf => State::Dfs { stack: vec![slot] },
+            Axis::Descendant => {
+                Self::push_children(cluster, slot, stack);
+                State::Dfs
+            }
+            Axis::DescendantOrSelf => {
+                stack.push(slot);
+                State::Dfs
+            }
             Axis::Parent => State::Up {
                 cur: node.parent(),
                 single: true,
@@ -266,13 +305,11 @@ impl StepCursor {
                 end_border: Self::chain_end(cluster, node.parent()),
             },
             Axis::Following => State::Walk {
-                dfs: Vec::new(),
                 chain: node.next_sibling(),
                 climb: Some(slot),
                 forward: true,
             },
             Axis::Preceding => State::Walk {
-                dfs: Vec::new(),
                 chain: node.prev_sibling(),
                 climb: Some(slot),
                 forward: false,
@@ -280,7 +317,7 @@ impl StepCursor {
         }
     }
 
-    fn resume_state(cluster: &Cluster, slot: u16, axis: Axis) -> State {
+    fn resume_state(cluster: &Cluster, slot: u16, axis: Axis, stack: &mut Vec<u16>) -> State {
         let node = cluster.node(slot);
         debug_assert!(node.kind().is_border(), "resume entry must be a proxy");
         let is_up_proxy = matches!(node.kind(), HeadKind::BorderUp { .. });
@@ -295,9 +332,10 @@ impl StepCursor {
                 forward: true,
                 end_border: Self::chain_end(cluster, Some(slot)),
             },
-            Axis::Descendant | Axis::DescendantOrSelf => State::Dfs {
-                stack: Self::children_rev(cluster, slot),
-            },
+            Axis::Descendant | Axis::DescendantOrSelf => {
+                Self::push_children(cluster, slot, stack);
+                State::Dfs
+            }
             Axis::Parent => State::Up {
                 cur: node.parent(),
                 single: true,
@@ -310,8 +348,8 @@ impl StepCursor {
                 if is_up_proxy {
                     // Descend into the continuation group: every subtree of
                     // the proxy's children lies on the requested side.
+                    Self::push_children(cluster, slot, stack);
                     State::Walk {
-                        dfs: Self::children_rev(cluster, slot),
                         chain: None,
                         climb: None,
                         forward: axis == Axis::Following,
@@ -325,7 +363,6 @@ impl StepCursor {
                         node.prev_sibling()
                     };
                     State::Walk {
-                        dfs: Vec::new(),
                         chain,
                         climb: Some(slot),
                         forward: axis == Axis::Following,
@@ -359,25 +396,26 @@ impl StepCursor {
         }
     }
 
-    /// The cluster this cursor walks.
-    pub fn cluster(&self) -> &Arc<Cluster> {
-        &self.cluster
+    /// The cluster this cursor walks (`None` once released).
+    pub fn cluster(&self) -> Option<&Rc<Cluster>> {
+        self.cluster.as_ref()
     }
 
     /// Advances the cursor, returning the next match or border.
     pub fn next(&mut self, charge: &NavCharge<'_>) -> Option<StepItem> {
+        let cluster = self.cluster.as_deref()?;
         loop {
             match &mut self.state {
                 State::Done => return None,
                 State::SelfPending(slot) => {
                     let slot = *slot;
                     self.state = State::Done;
-                    let node = self.cluster.node(slot);
+                    let node = cluster.node(slot);
                     charge.visit();
                     charge.test();
                     if self.test.matches(&node.kind()) {
                         return Some(StepItem::Match {
-                            id: self.cluster.id(slot),
+                            id: cluster.id(slot),
                             order: node.order(),
                         });
                     }
@@ -388,7 +426,7 @@ impl StepCursor {
                     end_border,
                 } => match *cur {
                     Some(s) => {
-                        let node = self.cluster.node(s);
+                        let node = cluster.node(s);
                         charge.visit();
                         *cur = if *forward {
                             node.next_sibling()
@@ -399,7 +437,7 @@ impl StepCursor {
                             HeadKind::BorderDown { target } => {
                                 charge.border();
                                 return Some(StepItem::Border {
-                                    proxy: self.cluster.id(s),
+                                    proxy: cluster.id(s),
                                     target: *target,
                                 });
                             }
@@ -407,7 +445,7 @@ impl StepCursor {
                                 charge.test();
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
-                                        id: self.cluster.id(s),
+                                        id: cluster.id(s),
                                         order: node.order(),
                                     });
                                 }
@@ -416,12 +454,12 @@ impl StepCursor {
                     }
                     None => {
                         if let Some(p) = end_border.take() {
-                            let node = self.cluster.node(p);
+                            let node = cluster.node(p);
                             if let HeadKind::BorderUp { target } = node.kind() {
                                 charge.border();
                                 self.state = State::Done;
                                 return Some(StepItem::Border {
-                                    proxy: self.cluster.id(p),
+                                    proxy: cluster.id(p),
                                     target,
                                 });
                             }
@@ -429,30 +467,24 @@ impl StepCursor {
                         self.state = State::Done;
                     }
                 },
-                State::Dfs { stack } => match stack.pop() {
+                State::Dfs => match self.stack.pop() {
                     Some(s) => {
-                        let node = self.cluster.node(s);
+                        let node = cluster.node(s);
                         charge.visit();
                         match &node.kind() {
                             HeadKind::BorderDown { target } => {
                                 charge.border();
                                 return Some(StepItem::Border {
-                                    proxy: self.cluster.id(s),
+                                    proxy: cluster.id(s),
                                     target: *target,
                                 });
                             }
                             kind => {
-                                // Push children (reverse for document order).
-                                let mut kid = node.first_child();
-                                let at = stack.len();
-                                while let Some(k) = kid {
-                                    stack.insert(at, k);
-                                    kid = self.cluster.node(k).next_sibling();
-                                }
+                                Self::push_children(cluster, s, &mut self.stack);
                                 charge.test();
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
-                                        id: self.cluster.id(s),
+                                        id: cluster.id(s),
                                         order: node.order(),
                                     });
                                 }
@@ -462,40 +494,34 @@ impl StepCursor {
                     None => self.state = State::Done,
                 },
                 State::Walk {
-                    dfs,
                     chain,
                     climb,
                     forward,
                 } => {
-                    if let Some(s) = dfs.pop() {
-                        let node = self.cluster.node(s);
+                    if let Some(s) = self.stack.pop() {
+                        let node = cluster.node(s);
                         charge.visit();
                         match &node.kind() {
                             HeadKind::BorderDown { target } => {
                                 charge.border();
                                 return Some(StepItem::Border {
-                                    proxy: self.cluster.id(s),
+                                    proxy: cluster.id(s),
                                     target: *target,
                                 });
                             }
                             kind => {
-                                let mut kid = node.first_child();
-                                let at = dfs.len();
-                                while let Some(k) = kid {
-                                    dfs.insert(at, k);
-                                    kid = self.cluster.node(k).next_sibling();
-                                }
+                                Self::push_children(cluster, s, &mut self.stack);
                                 charge.test();
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
-                                        id: self.cluster.id(s),
+                                        id: cluster.id(s),
                                         order: node.order(),
                                     });
                                 }
                             }
                         }
                     } else if let Some(s) = *chain {
-                        let node = self.cluster.node(s);
+                        let node = cluster.node(s);
                         charge.visit();
                         *chain = if *forward {
                             node.next_sibling()
@@ -506,17 +532,17 @@ impl StepCursor {
                             HeadKind::BorderDown { target } => {
                                 charge.border();
                                 return Some(StepItem::Border {
-                                    proxy: self.cluster.id(s),
+                                    proxy: cluster.id(s),
                                     target: *target,
                                 });
                             }
-                            _ => dfs.push(s),
+                            _ => self.stack.push(s),
                         }
                     } else if let Some(c) = *climb {
-                        match self.cluster.node(c).parent() {
+                        match cluster.node(c).parent() {
                             None => self.state = State::Done,
                             Some(p) => {
-                                let pnode = self.cluster.node(p);
+                                let pnode = cluster.node(p);
                                 charge.visit();
                                 match &pnode.kind() {
                                     HeadKind::BorderUp { target } => {
@@ -524,7 +550,7 @@ impl StepCursor {
                                         let target = *target;
                                         self.state = State::Done;
                                         return Some(StepItem::Border {
-                                            proxy: self.cluster.id(p),
+                                            proxy: cluster.id(p),
                                             target,
                                         });
                                     }
@@ -545,14 +571,14 @@ impl StepCursor {
                 }
                 State::Up { cur, single } => match *cur {
                     Some(s) => {
-                        let node = self.cluster.node(s);
+                        let node = cluster.node(s);
                         charge.visit();
                         match &node.kind() {
                             HeadKind::BorderUp { target } => {
                                 charge.border();
                                 self.state = State::Done;
                                 return Some(StepItem::Border {
-                                    proxy: self.cluster.id(s),
+                                    proxy: cluster.id(s),
                                     target: *target,
                                 });
                             }
@@ -561,7 +587,7 @@ impl StepCursor {
                                 charge.test();
                                 if self.test.matches(kind) {
                                     return Some(StepItem::Match {
-                                        id: self.cluster.id(s),
+                                        id: cluster.id(s),
                                         order: node.order(),
                                     });
                                 }
@@ -582,7 +608,11 @@ impl StepCursor {
 pub struct FullCursor {
     axis: Axis,
     test: ResolvedTest,
-    stack: Vec<StepCursor>,
+    /// One intra-cluster cursor per cluster the step has entered, the
+    /// innermost crossing last. Only the first `depth` are open; the rest
+    /// are released and kept for reuse.
+    cursors: Vec<StepCursor>,
+    depth: usize,
 }
 
 impl FullCursor {
@@ -601,37 +631,68 @@ impl FullCursor {
         axis: Axis,
         test: ResolvedTest,
     ) -> Self {
-        // On a read failure the cursor starts exhausted; the store records
-        // the error and the executor surfaces it after the plan winds down.
-        let stack = match store.checked_fix(at.page) {
-            Some(cluster) => vec![StepCursor::new(cluster, entry, axis, test.clone())],
-            None => Vec::new(),
+        let mut cursor = Self {
+            axis,
+            test,
+            cursors: Vec::new(),
+            depth: 0,
         };
-        Self { axis, test, stack }
+        cursor.enter(store, at.page, entry);
+        cursor
+    }
+
+    /// Starts the same step afresh from the core node `context`, reusing
+    /// this cursor's allocations. Clusters the previous step still held
+    /// are released first.
+    pub fn restart(&mut self, store: &TreeStore, context: NodeId) {
+        while self.pop() {}
+        self.enter(store, context.page, Entry::Fresh(context.slot));
+    }
+
+    /// Fixes `page` and opens a cursor entering it at `entry`. On a read
+    /// failure the whole step is exhausted; the store records the error
+    /// and the executor surfaces it after the plan winds down.
+    fn enter(&mut self, store: &TreeStore, page: PageId, entry: Entry) -> bool {
+        let Some(cluster) = store.checked_fix(page) else {
+            while self.pop() {}
+            return false;
+        };
+        match self.cursors.get_mut(self.depth) {
+            Some(c) => c.restart(cluster, entry, self.axis, self.test),
+            None => self
+                .cursors
+                .push(StepCursor::new(cluster, entry, self.axis, self.test)),
+        }
+        self.depth += 1;
+        true
+    }
+
+    /// Closes the innermost open cursor, unpinning its cluster; false if
+    /// none was open.
+    fn pop(&mut self) -> bool {
+        let Some(top) = self.depth.checked_sub(1) else {
+            return false;
+        };
+        if let Some(c) = self.cursors.get_mut(top) {
+            c.release();
+        }
+        self.depth = top;
+        true
     }
 
     /// Advances to the next matching node, crossing borders via `store`.
     pub fn next(&mut self, store: &TreeStore, charge: &NavCharge<'_>) -> Option<(NodeId, u64)> {
         loop {
-            let top = self.stack.last_mut()?;
+            let top = self.cursors.get_mut(self.depth.checked_sub(1)?)?;
             match top.next(charge) {
                 Some(StepItem::Match { id, order }) => return Some((id, order)),
                 Some(StepItem::Border { target, .. }) => {
-                    // A failed border crossing exhausts the cursor; the
-                    // store's recorded error reaches the executor.
-                    let Some(cluster) = store.checked_fix(target.page) else {
-                        self.stack.clear();
+                    if !self.enter(store, target.page, Entry::Resume(target.slot)) {
                         return None;
-                    };
-                    self.stack.push(StepCursor::new(
-                        cluster,
-                        Entry::Resume(target.slot),
-                        self.axis,
-                        self.test.clone(),
-                    ));
+                    }
                 }
                 None => {
-                    self.stack.pop();
+                    self.pop();
                 }
             }
         }
@@ -705,7 +766,7 @@ mod tests {
             }
             let ctx_rank = crate::node::order_key(ranks[ctx.0 as usize]);
             let ctx_id = rank_to_id[&ctx_rank];
-            let mut cursor = FullCursor::new(&store, ctx_id, axis, resolved.clone());
+            let mut cursor = FullCursor::new(&store, ctx_id, axis, resolved);
             let mut got: Vec<u64> = Vec::new();
             while let Some((_, order)) = cursor.next(&store, &charge) {
                 got.push(order);
@@ -854,6 +915,74 @@ mod tests {
         assert!(!ResolvedTest::Text.matches(&HeadKind::Element { tag: a }));
     }
 
+    /// A node with as many children as one 64 KiB page holds (~2,400;
+    /// every 100th has a small subtree) walked by the DFS and document-order
+    /// states: each axis must match the reference evaluator, and the DFS
+    /// must emit in document order.
+    #[test]
+    fn wide_node_in_one_page_matches_reference() {
+        let mut doc = Document::new("r");
+        let mut kids = Vec::new();
+        for i in 0..2400 {
+            let c = doc.add_element(doc.root(), "c");
+            if i % 100 == 50 {
+                let g = doc.add_element(c, "g");
+                doc.add_text(g, "t");
+            }
+            kids.push(c);
+        }
+        let store = store_for(&doc, 1 << 16, Placement::Sequential);
+        assert_eq!(
+            store.meta.page_count, 1,
+            "the wide node and its children share a page"
+        );
+        let ranks = doc.preorder_ranks();
+        let key = |n: pathix_xml::NodeRef| crate::node::order_key(ranks[n.0 as usize]);
+        let cluster = store.fix(store.meta.base_page);
+        let slot_of: std::collections::HashMap<u64, u16> = cluster
+            .heads()
+            .iter()
+            .enumerate()
+            .map(|(slot, h)| (h.order(), slot as u16))
+            .collect();
+        let clock = SimClock::new();
+        let counters = NavCounters::default();
+        let charge = charge_ctx(&clock, &counters);
+        let grandchild = doc.children(kids[1250]).next().unwrap();
+        let contexts = [doc.root(), kids[0], kids[1200], kids[2399], grandchild];
+        for axis in [
+            Axis::Descendant,
+            Axis::DescendantOrSelf,
+            Axis::Following,
+            Axis::Preceding,
+        ] {
+            for test in [NodeTest::AnyNode, NodeTest::Name("c".into())] {
+                let resolved = ResolvedTest::resolve(&test, &store.meta.symbols);
+                for &ctx in &contexts {
+                    let slot = slot_of[&key(ctx)];
+                    let mut cursor =
+                        StepCursor::new(cluster.clone(), Entry::Fresh(slot), axis, resolved);
+                    let mut got = Vec::new();
+                    while let Some(item) = cursor.next(&charge) {
+                        let StepItem::Match { order, .. } = item else {
+                            panic!("no borders in a one-page document");
+                        };
+                        got.push(order);
+                    }
+                    if axis.is_downward() {
+                        assert!(got.windows(2).all(|w| w[0] < w[1]), "DFS in document order");
+                    }
+                    got.sort_unstable();
+                    let path = LocationPath::new(vec![Step::new(axis, test.clone())]);
+                    let mut want: Vec<u64> =
+                        eval_path(&doc, ctx, &path).into_iter().map(key).collect();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "{axis:?}::{test:?} from rank {}", key(ctx));
+                }
+            }
+        }
+    }
+
     #[test]
     fn shuffled_placement_same_results() {
         let doc = fixture_doc();
@@ -865,7 +994,7 @@ mod tests {
             let charge = charge_ctx(&clock, &counters);
             let test_a = ResolvedTest::resolve(&NodeTest::AnyElement, &seq.meta.symbols);
             let run = |store: &TreeStore| {
-                let mut c = FullCursor::new(store, store.root(), axis, test_a.clone());
+                let mut c = FullCursor::new(store, store.root(), axis, test_a);
                 let mut got = Vec::new();
                 while let Some((_, order)) = c.next(store, &charge) {
                     got.push(order);

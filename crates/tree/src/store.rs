@@ -7,7 +7,6 @@ use pathix_storage::{
 use pathix_xml::SymbolTable;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Metadata of one stored document.
 #[derive(Debug, Clone)]
@@ -134,18 +133,18 @@ impl TreeStore {
     /// Infallible (panics on an unrecoverable read error) — for
     /// construction, export, and tests. Operators on the query path use
     /// [`Self::checked_fix`].
-    pub fn fix(&self, page: PageId) -> Arc<Cluster> {
+    pub fn fix(&self, page: PageId) -> Rc<Cluster> {
         self.buffer.fix(page)
     }
 
     /// Fixes the cluster of a node.
-    pub fn fix_node(&self, id: NodeId) -> Arc<Cluster> {
+    pub fn fix_node(&self, id: NodeId) -> Rc<Cluster> {
         self.buffer.fix(id.page)
     }
 
     /// Fixes the cluster holding `page`, returning the I/O error instead of
     /// panicking.
-    pub fn try_fix(&self, page: PageId) -> Result<Arc<Cluster>, IoError> {
+    pub fn try_fix(&self, page: PageId) -> Result<Rc<Cluster>, IoError> {
         self.buffer.try_fix(page)
     }
 
@@ -156,7 +155,7 @@ impl TreeStore {
     /// their own (their iterator protocol yields `Option<Pi>`), so they
     /// treat `None` as "wind down" and the executor surfaces the recorded
     /// error as `ExecError::Io` after draining the plan.
-    pub fn checked_fix(&self, page: PageId) -> Option<Arc<Cluster>> {
+    pub fn checked_fix(&self, page: PageId) -> Option<Rc<Cluster>> {
         match self.buffer.try_fix(page) {
             Ok(cluster) => Some(cluster),
             Err(e) => {

@@ -27,7 +27,7 @@ use crate::store::TreeStore;
 use pathix_storage::{seal_page, PageId, CHECKSUM_LEN};
 use pathix_xml::Symbol;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Update failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +86,7 @@ pub enum NewNode {
     Text(String),
 }
 
-/// Mutating handle over a store. Hold no `Arc<Cluster>` from this store
+/// Mutating handle over a store. Hold no `Rc<Cluster>` from this store
 /// while updating: written pages are invalidated in the buffer, which
 /// asserts that no pins remain.
 pub struct TreeUpdater<'a> {
@@ -144,8 +144,8 @@ impl<'a> TreeUpdater<'a> {
 
     /// Document-order key of the last node of `slot`'s subtree, crossing
     /// borders.
-    fn subtree_last_key(&self, cluster: &Arc<Cluster>, slot: u16) -> u64 {
-        let mut cl = Arc::clone(cluster);
+    fn subtree_last_key(&self, cluster: &Rc<Cluster>, slot: u16) -> u64 {
+        let mut cl = Rc::clone(cluster);
         let mut s = slot;
         loop {
             let node = cl.node(s);
@@ -169,8 +169,8 @@ impl<'a> TreeUpdater<'a> {
 
     /// Order key of the next node after `slot`'s subtree in document order
     /// (`None` at the end of the document). Crosses borders upward.
-    fn successor_key(&self, cluster: &Arc<Cluster>, slot: u16) -> Option<u64> {
-        let mut cl = Arc::clone(cluster);
+    fn successor_key(&self, cluster: &Rc<Cluster>, slot: u16) -> Option<u64> {
+        let mut cl = Rc::clone(cluster);
         let mut s = slot;
         loop {
             let node = cl.node(s);

@@ -304,7 +304,7 @@ impl Database {
     }
 
     /// Mutating handle for in-place updates (inserts, deletes, text
-    /// updates). Drop all `Arc<Cluster>` handles before updating.
+    /// updates). Drop all `Rc<Cluster>` handles before updating.
     pub fn updater(&mut self) -> pathix_tree::TreeUpdater<'_> {
         pathix_tree::TreeUpdater::new(&mut self.store)
     }
