@@ -7,17 +7,20 @@
 #   1. cargo fmt --check      — formatting is canonical
 #   2. cargo build --release  — the workspace compiles with optimizations
 #   3. cargo test -q --workspace — every test of every workspace crate
-#   4. cargo clippy -D warnings — the workspace lint set, including
+#   4. cargo test --release -p pathix-storage — the storage tests again
+#      under the optimized codegen that ships (the multi-lane page CRC's
+#      release build is the code every cold page fix runs)
+#   5. cargo clippy -D warnings — the workspace lint set, including
 #      clippy::unwrap_used = deny, over every target
-#   5. pathix-lint check      — the R1-R7 architectural invariants
+#   6. pathix-lint check      — the R1-R7 architectural invariants
 #      (I/O confinement, determinism, panic-freedom, layering,
 #      concurrency confinement, fault containment, governor
 #      confinement; see DESIGN.md "Statically enforced invariants")
-#   6. cargo bench --no-run   — criterion benches stay compiling
-#   7. perfbench tests        — the repository benchmark (a separate
+#   7. cargo bench --no-run   — criterion benches stay compiling
+#   8. perfbench tests        — the repository benchmark (a separate
 #      package under perfbench/) still builds against the engine API
 #      and passes its own tests
-#   8. report throughput scaling chaos overload --fast — the four engine
+#   9. report throughput scaling chaos overload --fast — the four engine
 #      harness smokes (small documents, instant disk profile, no latency
 #      pacing, no BENCH_PRn.json written), each gated on every acceptance
 #      check in its artifact: queue outcomes agree and zero page copies
@@ -37,6 +40,9 @@ cargo build --release
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
+
+echo "==> cargo test --release -q -p pathix-storage"
+cargo test --release -q -p pathix-storage
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -5,7 +5,9 @@
 //!   queue vs. the reference alloc-and-sort scheduler, per visible window
 //!   depth;
 //! - `page_verify`: the CRC32 check the buffer manager runs on every page
-//!   miss, over one sealed 8 KiB page.
+//!   miss, over one sealed page: `crc32_8k` is the engine's 8 KiB page,
+//!   `crc32_2k` and `crc32_64k` bracket it (below one multi-lane superblock,
+//!   and eight superblocks).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pathix_bench::throughput::{indexed_drain, reference_drain};
@@ -28,15 +30,15 @@ fn bench_queue_drain(c: &mut Criterion) {
     group.finish();
 }
 
-const PAGE: usize = 8192;
-
 fn bench_page_verify(c: &mut Criterion) {
-    let mut page: Vec<u8> = (0..PAGE).map(|i| (i * 31 % 251) as u8).collect();
-    seal_page(&mut page);
     let mut group = c.benchmark_group("page_verify");
     group.sample_size(1000);
-    group.throughput(Throughput::Bytes(PAGE as u64));
-    group.bench_function("crc32_8k", |b| b.iter(|| verify_page(black_box(&page))));
+    for (id, size) in [("crc32_2k", 2048), ("crc32_8k", 8192), ("crc32_64k", 65536)] {
+        let mut page: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
+        seal_page(&mut page);
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_function(id, |b| b.iter(|| verify_page(black_box(&page))));
+    }
     group.finish();
 }
 

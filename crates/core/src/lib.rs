@@ -43,3 +43,7 @@ pub use optimizer::{Optimizer, PlanEstimate};
 pub use plan::{execute_path, execute_query, Method, PathRun, PlanConfig, QueryRun};
 pub use report::ExecReport;
 pub use server::{execute_batch, execute_batch_parallel, BatchRun, WorkerSeed};
+
+// The storage layer's deterministic hash map, for the operators' probe-only
+// maps (the navigation-only operators may not name `pathix_storage`).
+pub(crate) use pathix_storage::FastMap;

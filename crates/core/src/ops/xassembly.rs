@@ -26,9 +26,10 @@ use crate::instance::{Pi, REnd};
 use crate::ops::nodeset::NodeSet;
 use crate::ops::xschedule::{QEntry, SchedShared, XSchedule};
 use crate::ops::Operator;
+use crate::FastMap;
 use pathix_tree::NodeId;
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 /// Unswizzled right end stored in `S`.
@@ -66,7 +67,7 @@ struct SNode {
 /// peak number of live instances, and dropping `S` frees two allocations.
 #[derive(Debug)]
 struct SpecStore {
-    lists: HashMap<(u16, NodeId), (u32, u32)>,
+    lists: FastMap<(u16, NodeId), (u32, u32)>,
     arena: Vec<SNode>,
     /// Head of the free list.
     free: u32,
@@ -77,7 +78,7 @@ struct SpecStore {
 impl Default for SpecStore {
     fn default() -> Self {
         Self {
-            lists: HashMap::new(),
+            lists: FastMap::default(),
             arena: Vec::new(),
             free: NIL,
             len: 0,

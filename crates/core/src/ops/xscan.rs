@@ -21,9 +21,9 @@
 use crate::context::ExecCtx;
 use crate::instance::Pi;
 use crate::ops::Operator;
+use crate::FastMap;
 use pathix_storage::PageId;
 use pathix_tree::{Cluster, NodeId};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -41,7 +41,7 @@ pub struct XScan {
     path_len: u16,
     pages: Vec<PageId>,
     pos: usize,
-    ctx_by_page: HashMap<PageId, Vec<NodeId>>,
+    ctx_by_page: FastMap<PageId, Vec<NodeId>>,
     all_contexts: Vec<NodeId>,
     /// Context instances of the visited cluster, emitted first.
     emit: VecDeque<Pi>,
@@ -60,7 +60,7 @@ impl XScan {
             path_len,
             pages,
             pos: 0,
-            ctx_by_page: HashMap::new(),
+            ctx_by_page: FastMap::default(),
             all_contexts: Vec::new(),
             emit: VecDeque::new(),
             borders: Vec::new(),

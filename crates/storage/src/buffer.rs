@@ -29,8 +29,8 @@
 use crate::checksum::{verify_image, VerifiedPage};
 use crate::clock::SimClock;
 use crate::device::{Device, DeviceStats, IoError, IoErrorKind, PageId};
+use crate::hash::{FastMap, FastSet};
 use std::cell::{Cell, RefCell, RefMut};
-use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 /// Bounded retry with deterministic exponential backoff, applied by the
@@ -137,7 +137,7 @@ struct Frame<T> {
 }
 
 struct FrameTable<T> {
-    map: HashMap<PageId, usize>,
+    map: FastMap<PageId, usize>,
     slots: Vec<Option<Frame<T>>>,
     hand: usize,
 }
@@ -145,7 +145,7 @@ struct FrameTable<T> {
 impl<T> FrameTable<T> {
     fn new() -> Self {
         Self {
-            map: HashMap::new(),
+            map: FastMap::default(),
             slots: Vec::new(),
             hand: 0,
         }
@@ -250,7 +250,7 @@ pub struct BufferManager<T, D> {
     params: Cell<BufferParams>,
     retry: Cell<RetryPolicy>,
     frames: RefCell<FrameTable<T>>,
-    submitted: RefCell<HashSet<PageId>>,
+    submitted: RefCell<FastSet<PageId>>,
     clock: Rc<SimClock>,
     stats: RefCell<BufferStats>,
     /// Read retries performed by [`Self::try_fix`]; folded into
@@ -278,7 +278,7 @@ impl<T, D: PageDecoder<T>> BufferManager<T, D> {
             params: Cell::new(params),
             retry: Cell::new(RetryPolicy::default()),
             frames: RefCell::new(FrameTable::new()),
-            submitted: RefCell::new(HashSet::new()),
+            submitted: RefCell::new(FastSet::default()),
             clock,
             stats: RefCell::new(BufferStats::default()),
             retries: Cell::new(0),

@@ -31,6 +31,7 @@ pub mod clock;
 pub mod device;
 pub mod fault;
 pub mod file_device;
+pub mod hash;
 pub mod mem_device;
 pub mod reference_disk;
 pub mod shared_cache;
@@ -46,6 +47,7 @@ pub use clock::{SimClock, TimeBreakdown};
 pub use device::{Completion, Device, DeviceStats, IoError, IoErrorKind, PageId};
 pub use fault::{FaultDevice, FaultKind, FaultPlan, FaultRule, FaultStats};
 pub use file_device::FileDevice;
+pub use hash::FastMap;
 pub use mem_device::MemDevice;
 pub use reference_disk::ReferenceDisk;
 pub use shared_cache::{SharedCacheDevice, SharedPageCache, SharedPageCacheStats};
